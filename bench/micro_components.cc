@@ -26,6 +26,7 @@
 #include "lattice/pruner_set.h"
 #include "skyline/dominance.h"
 #include "skyline/kdtree.h"
+#include "skyline/subspace_index.h"
 #include "storage/memory_mu_store.h"
 
 namespace sitfact {
@@ -145,9 +146,11 @@ void BM_CscInsert(benchmark::State& state) {
   uint64_t comparisons = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    CompressedSkycube cube(&universe);
+    SubspaceIndex index(&r);
+    CompressedSkycube cube(&universe, &index);
     state.ResumeTiming();
     for (TupleId t = 0; t < 64; ++t) {
+      index.Insert(t);
       sky.clear();
       cube.Insert(r, t, &sky, &comparisons);
     }

@@ -5,9 +5,9 @@
 //   range_full         PartitionRange over contiguous history blocks
 //                      (k-skyband pass 1, BaselineSeq scans)
 //   batch_masked       PartitionBatchMasked over an id list (µ buckets,
-//                      CSC candidate scans), |m| = 3 of 7 measures
+//                      candidate lists), |m| = 3 of 7 measures
 //   ramped_scan        BlockedPartitionScan with per-probe early exit at a
-//                      random depth (the CSC query profile)
+//                      random depth (the early-exit skyline scan profile)
 // The `comparisons` field records tuple pairs partitioned — a deterministic
 // function of the seeded input, so CI's bench-compare gate and the
 // bench-smoke ctest label can catch kernel regressions. Billing note:
@@ -16,7 +16,7 @@
 // 3,831,440 at default scale — intentionally differs from the 64×n
 // full-scan variants; dominance_batch_test pins the formula and the
 // default-scale constant so the comparison gate can't absorb real drift.
-// The kernels dispatch through the SIMD tier table (scalar/SSE2/AVX2,
+// The kernels dispatch through the SIMD tier table (scalar/AVX2,
 // skyline/dominance_simd.h); comparisons are tier-independent, wall time
 // is not, and the dispatched tier is stamped into the JSON. peak_bytes
 // carries the process peak RSS at each record (PeakRssBytes — there is no

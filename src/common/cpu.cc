@@ -14,7 +14,7 @@ namespace {
 
 /// cpuid leaf 7 subleaf 0, EBX bit 5: AVX2. Checked together with the
 /// OSXSAVE/XGETBV dance: AVX registers are only usable when the OS saves
-/// the YMM state, so AVX2 without OS support must report as SSE2.
+/// the YMM state, so AVX2 without OS support must report as scalar.
 bool OsSavesYmm() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
@@ -33,17 +33,6 @@ bool HasAvx2() {
   return (ebx & kAvx2) != 0 && OsSavesYmm();
 }
 
-bool HasSse2() {
-#if defined(__x86_64__)
-  return true;  // SSE2 is architectural on x86-64
-#else
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  constexpr unsigned kSse2 = 1u << 26;
-  return (edx & kSse2) != 0;
-#endif
-}
-
 #endif  // x86
 
 }  // namespace
@@ -51,7 +40,6 @@ bool HasSse2() {
 SimdTier DetectSimdTier() {
 #if defined(__x86_64__) || defined(__i386__)
   if (HasAvx2()) return SimdTier::kAvx2;
-  if (HasSse2()) return SimdTier::kSse2;
 #endif
   return SimdTier::kScalar;
 }
@@ -61,8 +49,6 @@ SimdTier ResolveSimdTier(const char* override_str, SimdTier detected) {
   SimdTier wanted;
   if (std::strcmp(override_str, "scalar") == 0) {
     wanted = SimdTier::kScalar;
-  } else if (std::strcmp(override_str, "sse2") == 0) {
-    wanted = SimdTier::kSse2;
   } else if (std::strcmp(override_str, "avx2") == 0) {
     wanted = SimdTier::kAvx2;
   } else {
@@ -81,8 +67,6 @@ const char* SimdTierName(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return "scalar";
-    case SimdTier::kSse2:
-      return "sse2";
     case SimdTier::kAvx2:
       return "avx2";
   }

@@ -8,15 +8,14 @@ namespace sitfact {
 /// the lower ones, so "clamp to detected" is a simple min.
 enum class SimdTier {
   kScalar = 0,  // portable C++ — also the bit-exact oracle the tests pin
-  kSse2 = 1,    // 2 doubles / 4 u32 per instruction
-  kAvx2 = 2,    // 4 doubles / 8 u32 per instruction
+  kAvx2 = 1,    // 4 doubles / 8 u32 per instruction
 };
 
 /// Highest tier the running CPU supports, from cpuid. Scalar on non-x86.
 SimdTier DetectSimdTier();
 
 /// Tier selection given an override string (the SITFACT_SIMD environment
-/// variable: "scalar" | "sse2" | "avx2") and the detected capability.
+/// variable: "scalar" | "avx2") and the detected capability.
 /// Unknown or empty overrides fall back to `detected`; an override above
 /// the machine's capability is clamped down to `detected` rather than
 /// crashing on an illegal instruction. Split out pure so the policy is
@@ -28,7 +27,7 @@ SimdTier ResolveSimdTier(const char* override_str, SimdTier detected);
 /// and cached for the life of the process.
 SimdTier ActiveSimdTier();
 
-/// Lower-case tier name ("scalar" / "sse2" / "avx2"), for logs and the
+/// Lower-case tier name ("scalar" / "avx2"), for logs and the
 /// bench JSON trajectory.
 const char* SimdTierName(SimdTier tier);
 

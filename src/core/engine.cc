@@ -108,12 +108,9 @@ DiscoveryEngine::DiscoveryEngine(Relation* relation,
   // Context API. File-backed stores never notify — a live engine over one
   // serves prominence from the store as before.
   MuStore* store = discoverer_->mutable_store();
-  if (config_.rank_facts && store != nullptr && store->NotifiesObservers() &&
-      SkybandIndexEnabledFromEnv()) {
+  if (config_.rank_facts && store != nullptr && store->NotifiesObservers()) {
     skyband_ = std::make_unique<SkybandIndex>();
-    skyband_->Attach(store, discoverer_->storage_policy(),
-                     discoverer_->max_bound_dims(),
-                     static_cast<int>(discoverer_->subspaces().max_size()));
+    skyband_->Attach(store, discoverer_->storage_policy());
   }
 }
 

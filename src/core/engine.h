@@ -77,12 +77,10 @@ class DiscoveryEngine {
   Relation& relation() { return *relation_; }
   Discoverer& discoverer() { return *discoverer_; }
 
-  /// The µ-side skyband shadow: attached when ranking is on, the algorithm
-  /// keeps a notifying (in-memory) store, and SITFACT_SKYBAND_INDEX is not
-  /// "off". Null otherwise (baselines, file stores, escape hatch) — every
-  /// consumer falls back to store reads. Prominence denominators are served
-  /// from it when present; forward queries may probe it via
-  /// SkylineQueryEngine's skyband-aware overload.
+  /// The µ-side skyband shadow: attached when ranking is on and the
+  /// algorithm keeps a notifying (in-memory) store. Null otherwise
+  /// (baselines, file stores) — every consumer falls back to store reads.
+  /// Prominence denominators are served from it when present.
   const SkybandIndex* skyband_index() const { return skyband_.get(); }
 
   const ContextCounter& counter() const { return counter_; }

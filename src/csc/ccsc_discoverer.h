@@ -24,8 +24,9 @@ namespace sitfact {
 /// arrival-bound PartitionMemo is threaded through every context so a
 /// (t, other) partition is computed once per arrival — not once per
 /// subspace per context. The engine still cannot prune constraints (CSCs of
-/// different contexts share no *storage*) and still loses to the lattice
-/// family, but no longer by refusing the repo's own indexes.
+/// different contexts share no *storage*), yet in the committed fig07
+/// trajectory it beats BottomUp and TopDown in most rows — the inverse of
+/// the paper's Fig. 7, reported as a reproduction finding in the README.
 ///
 /// Contract note: C-CSC's emitted facts are tuple-for-tuple identical to
 /// the pre-index engine (pinned by the differential tests), but its
@@ -58,15 +59,14 @@ class CcscDiscoverer : public Discoverer {
   const CompressedSkycube* cube(const Constraint& c) const;
 
  private:
-  /// One context's cube + its member index. Held by unique_ptr so the
-  /// cube's attached-index pointer survives map rehashes.
+  /// One context's member index + its cube. Held by unique_ptr so the
+  /// cube's index pointer survives map rehashes; `index` is declared first
+  /// so it is constructed before the cube that points at it.
   struct ContextState {
     ContextState(const Relation* r, const SubspaceUniverse* universe)
-        : cube(universe), index(r) {
-      cube.AttachIndex(&index);
-    }
-    CompressedSkycube cube;
+        : index(r), cube(universe, &index) {}
     SubspaceIndex index;
+    CompressedSkycube cube;
   };
 
   /// Replays `members` (in order) into a fresh state; returns its

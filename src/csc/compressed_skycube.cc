@@ -4,40 +4,12 @@
 
 #include "common/bits.h"
 #include "skyline/dominance.h"
-#include "skyline/dominance_batch.h"
 
 namespace sitfact {
 
-namespace {
-
-/// Ramped block scan over a gathered candidate block: partitions of the
-/// probe (keys `pk`) against elements [0, block.count()) restricted to
-/// `m`, delivered one at a time to `consume(index, partition)`; stops
-/// early when consume returns false. One home for the ramp policy and the
-/// "bill exactly what a scalar scan would consume" discipline shared by
-/// the CSC promotion and query paths.
-template <typename Consume>
-void RampedCompactScan(const CompactKeyBlock& block, const double* pk,
-                       MeasureMask m, Consume&& consume) {
-  const size_t c = block.count();
-  Relation::MeasurePartition parts[kDominanceBlockSize];
-  size_t next = InitialRampBlock(c);
-  for (size_t base = 0; base < c;) {
-    size_t n = std::min(next, c - base);
-    next = NextRampBlock(next);
-    block.PartitionRun(pk, base, n, m, parts);
-    for (size_t i = 0; i < n; ++i) {
-      if (!consume(base + i, parts[i])) return;
-    }
-    base += n;
-  }
-}
-
-}  // namespace
-
 CompressedSkycube::CompressedSkycube(const SubspaceUniverse* universe,
-                                     bool share_partitions)
-    : universe_(universe), share_partitions_(share_partitions) {}
+                                     const SubspaceIndex* index)
+    : universe_(universe), index_(index) {}
 
 int CompressedSkycube::FindEntry(MeasureMask m) const {
   auto it = std::lower_bound(
@@ -79,67 +51,6 @@ void CompressedSkycube::EraseEverywhere(TupleId t) {
                  entries_.end());
 }
 
-void CompressedSkycube::CollectStored(std::vector<TupleId>* out) const {
-  out->clear();
-  for (const auto& e : entries_) {
-    out->insert(out->end(), e.tuples.begin(), e.tuples.end());
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-void CompressedSkycube::ComputeSkylineSet(
-    const Relation& r, TupleId t, const std::vector<TupleId>& candidates,
-    std::vector<uint8_t>* out, uint64_t* comparisons) {
-  const auto& masks = universe_->masks();
-  out->assign(masks.size(), 1);
-  id_scratch_.clear();
-  for (TupleId cand : candidates) {
-    if (cand != t) id_scratch_.push_back(cand);
-  }
-  if (!share_partitions_) {
-    // 2006-era behaviour: an independent scan per subspace. The candidate
-    // keys are gathered once (layout prep, shared across the per-subspace
-    // passes), but every subspace still pays its own physical scan, and
-    // the comparison counter still bills exactly the tuples a scalar scan
-    // would have consumed before stopping — the competitor's work profile
-    // is the point of this mode.
-    const size_t c = id_scratch_.size();
-    if (c == 0) return;
-    compact_scratch_.Gather(r, id_scratch_.data(), c,
-                            r.schema().FullMeasureMask());
-    double pk[kMaxMeasures];
-    compact_scratch_.ProbeKeys(r, t, pk);
-    for (size_t i = 0; i < masks.size(); ++i) {
-      MeasureMask m = masks[i];
-      RampedCompactScan(
-          compact_scratch_, pk, m,
-          [&](size_t, const Relation::MeasurePartition& p) {
-            ++*comparisons;
-            if (DominatedInSubspace(p, m)) {
-              (*out)[i] = 0;
-              return false;
-            }
-            return true;
-          });
-    }
-    return;
-  }
-  *comparisons += id_scratch_.size();
-  part_scratch_.resize(id_scratch_.size());
-  PartitionBatch(r, t, id_scratch_.data(), id_scratch_.size(),
-                 part_scratch_.data());
-  for (size_t i = 0; i < masks.size(); ++i) {
-    MeasureMask m = masks[i];
-    for (const auto& p : part_scratch_) {
-      if (DominatedInSubspace(p, m)) {
-        (*out)[i] = 0;
-        break;
-      }
-    }
-  }
-}
-
 void CompressedSkycube::StoreAtMinimalSubspaces(
     TupleId t, const std::vector<uint8_t>& skyline_set) {
   const auto& masks = universe_->masks();
@@ -161,16 +72,17 @@ void CompressedSkycube::StoreAtMinimalSubspaces(
   }
 }
 
-void CompressedSkycube::InsertIndexed(
-    const Relation& r, TupleId t,
-    std::vector<MeasureMask>* skyline_subspaces, uint64_t* comparisons,
-    PartitionMemo* arrival_memo, PartitionMemo* repair_memo) {
+void CompressedSkycube::Insert(const Relation& r, TupleId t,
+                               std::vector<MeasureMask>* skyline_subspaces,
+                               uint64_t* comparisons,
+                               PartitionMemo* arrival_memo,
+                               PartitionMemo* repair_memo) {
   const auto& masks = universe_->masks();
 
   // 1. t's own skyline memberships, via index probes. Probing against all
-  // context members is equivalent to the legacy stored-tuple scan: both
-  // candidate sets contain the subspace skyline (CSC containment), and a
-  // dominator chain always terminates at a skyline member, so the
+  // context members answers the same as Xia & Zhang's stored-tuple scan:
+  // both candidate sets contain the subspace skyline (CSC containment), and
+  // a dominator chain always terminates at a skyline member, so the
   // membership booleans agree pair for pair.
   index_->ComputeSkylineSet(t, *universe_, arrival_memo, &sky_scratch_,
                             comparisons);
@@ -181,9 +93,12 @@ void CompressedSkycube::InsertIndexed(
   // 2. Store t at its minimum subspaces.
   StoreAtMinimalSubspaces(t, sky_scratch_);
 
-  // 3. Demotion detection: same trigger as the legacy path (t dominates a
-  // stored tuple in a subspace where it is STORED), but each pair costs a
-  // memoized partition instead of a physical bucket scan.
+  // 3. Demote stored tuples that t dethrones. A stored tuple's minimum-
+  // subspace set changes only when t dominates it in a subspace where it is
+  // STORED: removing non-minimal members from a tuple's skyline-subspace set
+  // leaves its minimal elements (and hence its storage) untouched. This is
+  // the incremental trigger of Xia & Zhang's update; each pair costs one
+  // memoized partition.
   demote_scratch_.clear();
   for (const Entry& e : entries_) {
     for (TupleId u : e.tuples) {
@@ -213,81 +128,14 @@ void CompressedSkycube::InsertIndexed(
   }
 }
 
-void CompressedSkycube::Insert(const Relation& r, TupleId t,
-                               std::vector<MeasureMask>* skyline_subspaces,
-                               uint64_t* comparisons,
-                               PartitionMemo* arrival_memo,
-                               PartitionMemo* repair_memo) {
-  if (index_ != nullptr) {
-    InsertIndexed(r, t, skyline_subspaces, comparisons, arrival_memo,
-                  repair_memo);
-    return;
-  }
-  const auto& masks = universe_->masks();
-
-  // Snapshot of stored tuples: by the CSC containment property they are a
-  // superset of every subspace skyline, hence a sufficient candidate set for
-  // all membership decisions below.
-  CollectStored(&stored_scratch_);
-
-  // 1. t's own skyline memberships.
-  ComputeSkylineSet(r, t, stored_scratch_, &sky_scratch_, comparisons);
-  for (size_t i = 0; i < masks.size(); ++i) {
-    if (sky_scratch_[i]) skyline_subspaces->push_back(masks[i]);
-  }
-
-  // 2. Store t at its minimum subspaces.
-  StoreAtMinimalSubspaces(t, sky_scratch_);
-
-  // 3. Demote stored tuples that t dethrones. A stored tuple's minimum-
-  // subspace set changes only when t dominates it in a subspace where it is
-  // STORED: removing non-minimal members from a tuple's skyline-subspace set
-  // leaves its minimal elements (and hence its storage) untouched. This is
-  // the incremental trigger of Xia & Zhang's update — without it every
-  // insertion would rebuild most of the cube.
-  demote_scratch_.clear();
-  for (const Entry& e : entries_) {
-    BlockedPartitionScan scan(r, t, e.tuples.data(), e.tuples.size(), e.mask,
-                              /*unmasked=*/false);
-    for (size_t i = 0; i < e.tuples.size(); ++i) {
-      if (e.tuples[i] == t) continue;
-      ++*comparisons;
-      if (DominatesInSubspace(scan.at(i), e.mask)) {
-        demote_scratch_.push_back(e.tuples[i]);
-      }
-    }
-  }
-  if (demote_scratch_.empty()) return;
-  std::sort(demote_scratch_.begin(), demote_scratch_.end());
-  demote_scratch_.erase(
-      std::unique(demote_scratch_.begin(), demote_scratch_.end()),
-      demote_scratch_.end());
-
-  std::vector<TupleId> snapshot = stored_scratch_;  // candidates incl. t
-  snapshot.push_back(t);
-  for (TupleId other : demote_scratch_) {
-    EraseEverywhere(other);
-    ComputeSkylineSet(r, other, snapshot, &sky_scratch_, comparisons);
-    StoreAtMinimalSubspaces(other, sky_scratch_);
-  }
-}
-
 std::vector<TupleId> CompressedSkycube::QuerySkyline(
-    const Relation& r, MeasureMask m, uint64_t* comparisons) const {
-  std::vector<TupleId> skyline;
-  QuerySkyline(r, m, comparisons, &skyline);
-  return skyline;
-}
-
-void CompressedSkycube::QuerySkyline(const Relation& r, MeasureMask m,
-                                     uint64_t* comparisons,
-                                     std::vector<TupleId>* skyline) const {
+    MeasureMask m, uint64_t* comparisons) const {
   // Candidates: every tuple stored at a subspace of m, ascending by id (a
-  // deterministic scan order, so the billed comparison trace is too). The
-  // scratch is reused across the millions of per-subspace queries the
-  // C-CSC adaptation issues; not thread-safe, like the rest of the cube.
-  std::vector<TupleId>& candidates = query_scratch_;
-  candidates.clear();
+  // deterministic probe order, so the billed comparison trace is too). A
+  // candidate survives against the candidate set iff it survives against
+  // all members (dominator chains terminate at skyline members, which are
+  // themselves candidates by CSC containment), so index probes answer it.
+  std::vector<TupleId> candidates;
   for (const auto& e : entries_) {
     if (IsSubsetOf(e.mask, m)) {
       candidates.insert(candidates.end(), e.tuples.begin(), e.tuples.end());
@@ -296,61 +144,13 @@ void CompressedSkycube::QuerySkyline(const Relation& r, MeasureMask m,
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  skyline->clear();
-  const size_t c = candidates.size();
-  if (c == 0) return;
-  if (index_ != nullptr) {
-    // Index-routed probes: a candidate survives against the candidate set
-    // iff it survives against all members (dominator chains terminate at
-    // skyline members, which are themselves candidates), so the output is
-    // identical to the scan below.
-    for (TupleId cand : candidates) {
-      if (index_->IsSkylineMember(cand, m, nullptr, comparisons)) {
-        skyline->push_back(cand);
-      }
-    }
-    return;
-  }
-  // Every probe rescans the whole candidate set, so gather the |m| key
-  // columns once into a compact (cache-resident) block and stream it per
-  // probe; ramped blocks keep early exits — the common outcome — from
-  // paying for lookahead.
-  compact_scratch_.Gather(r, candidates.data(), c, m);
-  double pk[kMaxMeasures];
-  for (size_t pi = 0; pi < c; ++pi) {
-    compact_scratch_.ProbeKeysAt(pi, pk);
-    bool dominated = false;
-    RampedCompactScan(compact_scratch_, pk, m,
-                      [&](size_t i, const Relation::MeasurePartition& p) {
-                        if (i == pi) return true;  // self-comparison
-                        ++*comparisons;
-                        if (DominatedInSubspace(p, m)) {
-                          dominated = true;
-                          return false;
-                        }
-                        return true;
-                      });
-    if (!dominated) skyline->push_back(candidates[pi]);
-  }
-}
-
-bool CompressedSkycube::QueryMembership(const Relation& r, TupleId t,
-                                        MeasureMask m,
-                                        uint64_t* comparisons) const {
-  if (index_ != nullptr) {
-    return index_->IsSkylineMember(t, m, nullptr, comparisons);
-  }
-  for (const Entry& e : entries_) {
-    if (!IsSubsetOf(e.mask, m)) continue;
-    BlockedPartitionScan scan(r, t, e.tuples.data(), e.tuples.size(), m,
-                              /*unmasked=*/false);
-    for (size_t i = 0; i < e.tuples.size(); ++i) {
-      if (e.tuples[i] == t) continue;
-      ++*comparisons;
-      if (DominatedInSubspace(scan.at(i), m)) return false;
+  std::vector<TupleId> skyline;
+  for (TupleId cand : candidates) {
+    if (index_->IsSkylineMember(cand, m, nullptr, comparisons)) {
+      skyline.push_back(cand);
     }
   }
-  return true;
+  return skyline;
 }
 
 size_t CompressedSkycube::ApproxMemoryBytes() const {

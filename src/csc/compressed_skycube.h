@@ -7,7 +7,6 @@
 #include "common/types.h"
 #include "lattice/subspace_universe.h"
 #include "relation/relation.h"
-#include "skyline/dominance_batch.h"
 #include "skyline/subspace_index.h"
 
 namespace sitfact {
@@ -26,24 +25,13 @@ namespace sitfact {
 /// under subsets.
 class CompressedSkycube {
  public:
-  /// `universe` must outlive the cube. With `share_partitions` (default) the
-  /// update evaluates each candidate pair once and projects the comparison
-  /// onto all subspaces via Prop. 4; that sharing is *this* paper's idea 3,
-  /// so the C-CSC competitor passes false to get the 2006-era behaviour —
-  /// an independent dominance scan per subspace, exactly what makes it an
-  /// order of magnitude slower than the proposed algorithms.
-  explicit CompressedSkycube(const SubspaceUniverse* universe,
-                             bool share_partitions = true);
-
-  /// Routes every membership decision (promotion, demotion repair, queries)
-  /// through a shared per-context SubspaceIndex instead of physical scans
-  /// of the stored buckets. The index must cover exactly this cube's
-  /// context members — the owner inserts each tuple into the index before
-  /// Insert()ing it here — and must outlive the cube. Attaching an index
-  /// supersedes the share_partitions flag; the stored structure (minimum
-  /// subspaces, stored_count) and all query *outputs* are unchanged, only
-  /// the candidate sets visited (and hence the comparison counters) differ.
-  void AttachIndex(const SubspaceIndex* index) { index_ = index; }
+  /// Every membership decision (promotion, demotion repair, queries) is
+  /// routed through `index`, a per-context SubspaceIndex over exactly this
+  /// cube's context members: the owner inserts each tuple into the index
+  /// before Insert()ing it here. `universe` and `index` must outlive the
+  /// cube.
+  CompressedSkycube(const SubspaceUniverse* universe,
+                    const SubspaceIndex* index);
 
   /// Folds tuple `t` (a member of this cube's context) into the structure:
   ///   1. decides, for every admissible subspace, whether t enters the
@@ -53,31 +41,19 @@ class CompressedSkycube {
   ///      minimum subspaces.
   /// Adds the number of tuple-pair comparisons performed to *comparisons.
   ///
-  /// With an index attached, `arrival_memo` (bound to `t`) supplies the
-  /// arrival's memoized partitions for promotion and demotion detection,
-  /// and `repair_memo` is rebound to each demoted tuple for its two-phase
-  /// recompute; either may be null (probes then fall back to batched
-  /// partitions). Both are ignored without an index.
+  /// `arrival_memo` (bound to `t`) supplies the arrival's memoized
+  /// partitions for promotion and demotion detection, and `repair_memo` is
+  /// rebound to each demoted tuple for its two-phase recompute; either may
+  /// be null (probes then fall back to batched partitions).
   void Insert(const Relation& r, TupleId t,
               std::vector<MeasureMask>* skyline_subspaces,
               uint64_t* comparisons, PartitionMemo* arrival_memo = nullptr,
               PartitionMemo* repair_memo = nullptr);
 
-  /// The CSC query algorithm: skyline of subspace `m` from stored tuples.
-  std::vector<TupleId> QuerySkyline(const Relation& r, MeasureMask m,
+  /// The CSC query algorithm: skyline of subspace `m`, ascending by id,
+  /// probed from the tuples stored at subspaces of `m`.
+  std::vector<TupleId> QuerySkyline(MeasureMask m,
                                     uint64_t* comparisons) const;
-
-  /// Allocation-free variant for callers issuing many queries (C-CSC runs
-  /// one per subspace per context per arrival): *skyline is cleared and
-  /// refilled.
-  void QuerySkyline(const Relation& r, MeasureMask m, uint64_t* comparisons,
-                    std::vector<TupleId>* skyline) const;
-
-  /// The query algorithm's membership short-cut: is `t` (stored or not) in
-  /// the skyline of `m`? Scans the same candidate set the full query visits
-  /// — every bucket of a subspace of m — but stops at the first dominator.
-  bool QueryMembership(const Relation& r, TupleId t, MeasureMask m,
-                       uint64_t* comparisons) const;
 
   /// Stored tuple occurrences (a tuple stored in k minimum subspaces counts
   /// k times), mirroring the paper's Fig. 10b accounting.
@@ -98,39 +74,17 @@ class CompressedSkycube {
   std::vector<TupleId>* GetBucket(MeasureMask m, bool create);
   void EraseEverywhere(TupleId t);
 
-  /// All distinct stored tuples, via sort+unique of bucket contents.
-  void CollectStored(std::vector<TupleId>* out) const;
-
-  /// Recomputes the subspace-skyline memberships of `t` against
-  /// `candidates` (self-comparisons skipped): out[i] = true iff no candidate
-  /// dominates t in universe mask i.
-  void ComputeSkylineSet(const Relation& r, TupleId t,
-                         const std::vector<TupleId>& candidates,
-                         std::vector<uint8_t>* out, uint64_t* comparisons);
-
-  /// Insert() body for the index-routed mode.
-  void InsertIndexed(const Relation& r, TupleId t,
-                     std::vector<MeasureMask>* skyline_subspaces,
-                     uint64_t* comparisons, PartitionMemo* arrival_memo,
-                     PartitionMemo* repair_memo);
-
   /// Stores `t` at the minimal masks of its skyline set.
   void StoreAtMinimalSubspaces(TupleId t,
                                const std::vector<uint8_t>& skyline_set);
 
   const SubspaceUniverse* universe_;
-  bool share_partitions_;
-  const SubspaceIndex* index_ = nullptr;
+  const SubspaceIndex* index_;
   std::vector<Entry> entries_;  // sorted by mask
   uint64_t stored_count_ = 0;
   // Scratch reused across Insert calls.
-  std::vector<TupleId> stored_scratch_;
   std::vector<TupleId> demote_scratch_;
   std::vector<uint8_t> sky_scratch_;
-  std::vector<TupleId> id_scratch_;
-  std::vector<Relation::MeasurePartition> part_scratch_;
-  mutable std::vector<TupleId> query_scratch_;  // QuerySkyline candidates
-  mutable CompactKeyBlock compact_scratch_;     // gathered candidate keys
 };
 
 }  // namespace sitfact

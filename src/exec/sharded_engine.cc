@@ -15,12 +15,10 @@ ShardedEngine::ShardedEngine(Relation* relation, const Config& config)
   SITFACT_CHECK_MSG(config.num_shards >= 1, "num_shards must be >= 1");
   discoverer_ = std::make_unique<ShardedDiscoverer>(
       relation, config.options, config.num_shards, config.num_threads);
-  if (config_.rank_facts && SkybandIndexEnabledFromEnv()) {
+  if (config_.rank_facts) {
     skyband_ = std::make_unique<SkybandIndex>();
     skyband_->Attach(discoverer_->mutable_store(),
-                     discoverer_->storage_policy(),
-                     discoverer_->max_bound_dims(),
-                     static_cast<int>(discoverer_->subspaces().max_size()));
+                     discoverer_->storage_policy());
   }
 }
 

@@ -67,9 +67,9 @@ class ShardedEngine {
   /// The µ-side skyband shadow over the segmented store (SegmentedMuStore
   /// forwards observer registration to every segment, so shard threads feed
   /// it the same per-bucket mutation stream a sequential engine would; the
-  /// index's internal mutex makes that safe). Null when ranking is off or
-  /// SITFACT_SKYBAND_INDEX=off. Per-shard ranking keeps its O(1) in-segment
-  /// reads — the index serves forward queries and external consumers.
+  /// index's internal mutex makes that safe). Null when ranking is off.
+  /// Per-shard ranking keeps its O(1) in-segment reads — the index serves
+  /// external consumers.
   const SkybandIndex* skyband_index() const { return skyband_.get(); }
 
   /// Aggregates over every µ-store segment.

@@ -176,10 +176,6 @@ HttpResponse FactServer::HandleQuery(QueryKind kind,
     ++stats->errors;
     return ErrorResponse(HttpStatusFor(response.status()), response.status());
   }
-  if (snapshot.skyband_enabled() &&
-      (kind == QueryKind::kTopK || kind == QueryKind::kAbout)) {
-    ++stats->skyband_hits;
-  }
   std::string body = SerializeResponse(response.value());
   if (options_.cache_capacity > 0) {
     if (cache_.find(key) == cache_.end()) {
@@ -270,14 +266,6 @@ HttpResponse FactServer::StatzResponse() const {
           JsonValue::Number(static_cast<uint64_t>(kWireSchemaVersion)));
   obj.Set("epoch", JsonValue::Number(snap.epoch()));
 
-  JsonValue skyband = JsonValue::Object();
-  skyband.Set("enabled", JsonValue::Bool(snap.skyband_enabled()));
-  skyband.Set("band_inserts",
-              JsonValue::Number(snap.skyband_stats().band_inserts));
-  skyband.Set("shifted_records",
-              JsonValue::Number(snap.skyband_stats().shifted_records));
-  obj.Set("skyband", std::move(skyband));
-
   const EpollServer::Stats& net = server_.stats();
   JsonValue server = JsonValue::Object();
   server.Set("accepted", JsonValue::Number(net.accepted));
@@ -299,7 +287,6 @@ HttpResponse FactServer::StatzResponse() const {
     e.Set("requests", JsonValue::Number(stats->requests));
     e.Set("errors", JsonValue::Number(stats->errors));
     e.Set("cache_hits", JsonValue::Number(stats->cache_hits));
-    e.Set("skyband_hits", JsonValue::Number(stats->skyband_hits));
     e.Set("total_micros", JsonValue::Number(stats->total_micros));
     e.Set("max_micros", JsonValue::Number(stats->max_micros));
     endpoints.Set(name, std::move(e));

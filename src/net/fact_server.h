@@ -44,9 +44,6 @@ class FactServer {
     uint64_t requests = 0;
     uint64_t errors = 0;
     uint64_t cache_hits = 0;
-    /// Responses computed off the TopK-sorted skyband serving bands (cache
-    /// hits excluded; only TopK/About take the sorted walk).
-    uint64_t skyband_hits = 0;
     uint64_t total_micros = 0;  ///< handler time, cache hits included
     uint64_t max_micros = 0;
   };

@@ -30,12 +30,14 @@ bool TopKBefore(double pa, uint32_t ia, double pb, uint32_t ib) {
   return ia < ib;
 }
 
-BandVec* FindList(std::vector<std::pair<uint32_t, BandVec>>* lists,
-                  uint32_t key) {
+/// The record-id list for `key`, appended empty on first use.
+CowVec<uint32_t>& ListFor(
+    std::vector<std::pair<uint32_t, CowVec<uint32_t>>>* lists, uint32_t key) {
   for (auto& [k, list] : *lists) {
-    if (k == key) return &list;
+    if (k == key) return list;
   }
-  return nullptr;
+  lists->emplace_back(key, CowVec<uint32_t>());
+  return lists->back().second;
 }
 
 }  // namespace
@@ -66,14 +68,15 @@ uint32_t FactIndexSnapshot::ArrivalOfTuple(TupleId t) const {
   return tuple_to_arrival_[t];
 }
 
-const BandVec* FactIndexSnapshot::BoundList(DimMask mask) const {
+const CowVec<uint32_t>* FactIndexSnapshot::BoundList(DimMask mask) const {
   for (const auto& [k, list] : by_bound_) {
     if (k == mask) return &list;
   }
   return nullptr;
 }
 
-const BandVec* FactIndexSnapshot::SubspaceList(MeasureMask mask) const {
+const CowVec<uint32_t>* FactIndexSnapshot::SubspaceList(
+    MeasureMask mask) const {
   for (const auto& [k, list] : by_subspace_) {
     if (k == mask) return &list;
   }
@@ -85,7 +88,6 @@ TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
     const {
   TopKResult result;
   if (k == 0) return result;
-  if (skyband_) return TopKOrdered(k, filter, cursor);
 
   std::vector<uint32_t> candidates;
   bool stopped_early = false;
@@ -94,12 +96,12 @@ TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
     // prominence buckets: the list holds exactly the records of that
     // constraint shape / measure subspace, typically a small fraction of
     // the index. A mask the index never saw has no list — zero matches.
-    const BandVec* source = filter.bound_mask.has_value()
-                                ? BoundList(*filter.bound_mask)
-                                : SubspaceList(*filter.subspace);
+    const CowVec<uint32_t>* source = filter.bound_mask.has_value()
+                                         ? BoundList(*filter.bound_mask)
+                                         : SubspaceList(*filter.subspace);
     if (source != nullptr) {
-      for (BandVec::Iterator it = source->begin(); !it.AtEnd(); it.Next()) {
-        const uint32_t id = *it;
+      for (size_t i = 0; i < source->size(); ++i) {
+        const uint32_t id = (*source)[i];
         const FactRecord& rec = records_[id];
         if (cursor.has_value() &&
             !TopKBefore(cursor->prominence, cursor->record_id,
@@ -120,9 +122,9 @@ TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
                           ? ProminenceBucket(cursor->prominence)
                           : kProminenceBuckets - 1;
     for (int b = start; b >= 0; --b) {
-      const BandVec& bucket = by_prominence_[b];
-      for (BandVec::Iterator it = bucket.begin(); !it.AtEnd(); it.Next()) {
-        const uint32_t id = *it;
+      const CowVec<uint32_t>& bucket = by_prominence_[b];
+      for (size_t i = 0; i < bucket.size(); ++i) {
+        const uint32_t id = bucket[i];
         const FactRecord& rec = records_[id];
         if (cursor.has_value() &&
             !TopKBefore(cursor->prominence, cursor->record_id,
@@ -146,75 +148,6 @@ TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
   const size_t take = std::min(k, candidates.size());
   result.record_ids.assign(candidates.begin(), candidates.begin() + take);
   if (take > 0 && (candidates.size() > take || stopped_early)) {
-    const uint32_t last = result.record_ids.back();
-    result.next = TopKCursor{records_[last].prominence, last};
-  }
-  return result;
-}
-
-TopKResult FactIndexSnapshot::TopKOrdered(
-    size_t k, const FactFilter& filter,
-    const std::optional<TopKCursor>& cursor) const {
-  // The skyband fast path: every source list is already in TopK order, so
-  // the page is the first k matches in scan order — no candidate sort — and
-  // the scan stops at the first match past the page. Byte-identical to the
-  // legacy path, including the `next` decision:
-  //  * a (k+1)-th match anywhere (same bucket / pinned list) sets `next`,
-  //    exactly like legacy's candidates.size() > take;
-  //  * k matches in hand with lower buckets still unvisited sets `next`,
-  //    exactly like legacy's stopped_early (which fired only for b > 0).
-  TopKResult result;
-
-  // First position of `list` strictly after the cursor. Entries sort by
-  // TopKBefore, so the predicate is monotone for any cursor value.
-  const auto after_cursor = [&](const BandVec& list) -> BandVec::Iterator {
-    if (!cursor.has_value()) return list.begin();
-    return list.LowerBound([&](uint32_t id) {
-      return TopKBefore(cursor->prominence, cursor->record_id,
-                        records_[id].prominence, id);
-    });
-  };
-
-  bool more = false;
-  // Collects matches from `begin` on until the page is full and one further
-  // match proves `more`; returns true when scanning should stop.
-  const auto scan = [&](BandVec::Iterator begin) -> bool {
-    for (BandVec::Iterator it = begin; !it.AtEnd(); it.Next()) {
-      const uint32_t id = *it;
-      if (!filter.Matches(records_[id])) continue;
-      if (result.record_ids.size() < k) {
-        result.record_ids.push_back(id);
-      } else {
-        more = true;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  if (filter.bound_mask.has_value() || filter.subspace.has_value()) {
-    const BandVec* source = filter.bound_mask.has_value()
-                                ? BoundList(*filter.bound_mask)
-                                : SubspaceList(*filter.subspace);
-    if (source != nullptr) scan(after_cursor(*source));
-  } else {
-    const int start = cursor.has_value()
-                          ? ProminenceBucket(cursor->prominence)
-                          : kProminenceBuckets - 1;
-    for (int b = start; b >= 0; --b) {
-      const BandVec& bucket = by_prominence_[b];
-      // Only the cursor's own bucket can hold already-served entries:
-      // every lower bucket's prominence range sits strictly below the
-      // cursor's (ProminenceBucket ranges are disjoint).
-      if (scan(b == start ? after_cursor(bucket) : bucket.begin())) break;
-      if (result.record_ids.size() >= k && b > 0) {
-        more = true;
-        break;
-      }
-    }
-  }
-
-  if (more && !result.record_ids.empty()) {
     const uint32_t last = result.record_ids.back();
     result.next = TopKCursor{records_[last].prominence, last};
   }
@@ -278,7 +211,6 @@ FactIndex::FactIndex(const Relation* relation, Options options)
       narrator_(relation, options.entity_dim) {
   SITFACT_CHECK(relation != nullptr);
   SITFACT_CHECK(options_.publish_every >= 1);
-  work_.skyband_ = options_.skyband_index;
   Publish();  // Acquire() is never null, even before the first arrival
 }
 
@@ -302,37 +234,9 @@ void FactIndex::AddRecord(const ArrivalReport& report, const SkylineFact& fact,
     }
   }
 
-  // With the skyband serving bands on, every list stays in TopK order
-  // (prominence descending, id ascending): the new record binary-searches
-  // its slot — since its id is the largest, that is "after every entry with
-  // prominence >= mine". Off, lists grow in record-id order and TopK sorts
-  // per query (the pre-skyband behaviour, kept for the escape hatch).
-  const auto ordered_insert = [this, id, &rec](BandVec* list) {
-    if (!work_.skyband_) {
-      list->PushBack(id);
-      return;
-    }
-    ++work_.skyband_stats_.band_inserts;
-    work_.skyband_stats_.shifted_records +=
-        list->Insert(id, [this, id, &rec](uint32_t other) {
-          return TopKBefore(rec.prominence, id,
-                            work_.records_[other].prominence, other);
-        });
-  };
-
-  ordered_insert(&work_.by_prominence_[ProminenceBucket(rec.prominence)]);
-  BandVec* bound = FindList(&work_.by_bound_, fact.constraint.bound_mask());
-  if (bound == nullptr) {
-    work_.by_bound_.emplace_back(fact.constraint.bound_mask(), BandVec());
-    bound = &work_.by_bound_.back().second;
-  }
-  ordered_insert(bound);
-  BandVec* sub = FindList(&work_.by_subspace_, fact.subspace);
-  if (sub == nullptr) {
-    work_.by_subspace_.emplace_back(fact.subspace, BandVec());
-    sub = &work_.by_subspace_.back().second;
-  }
-  ordered_insert(sub);
+  work_.by_prominence_[ProminenceBucket(rec.prominence)].PushBack(id);
+  ListFor(&work_.by_bound_, fact.constraint.bound_mask()).PushBack(id);
+  ListFor(&work_.by_subspace_, fact.subspace).PushBack(id);
 
   if (options_.store_narrations) {
     RankedFact rf;

@@ -94,168 +94,6 @@ class CowVec {
   size_t size_ = 0;
 };
 
-/// Record-id list behind the serving bands (prominence buckets and shape
-/// lists): chunks of ids with the same structural sharing and Seal protocol
-/// as CowVec, but ordered inserts are keyed by a predicate instead of a
-/// position. An insert binary-searches the chunk table by each chunk's last
-/// element, shifts within that single chunk, and splits a chunk that
-/// outgrows kChunkSize — O(log chunks + kChunkSize) per insert, where a
-/// positional suffix shift would make band maintenance quadratic in the
-/// record count (measured: ~7x on ingest at n=1500). Bands are never
-/// indexed by position — readers scan in order or binary-search by key —
-/// so the class exposes iterators, not operator[].
-class BandVec {
- public:
-  static constexpr size_t kChunkSize = 256;
-
-  /// Forward scan position. Valid only while the owning BandVec is alive
-  /// and (on the writer's instance) unmodified.
-  class Iterator {
-   public:
-    uint32_t operator*() const { return (*vec_->chunks_[chunk_])[off_]; }
-    bool AtEnd() const { return chunk_ == vec_->chunks_.size(); }
-    void Next() {
-      if (++off_ == vec_->chunks_[chunk_]->size()) {
-        ++chunk_;
-        off_ = 0;
-      }
-    }
-
-   private:
-    friend class BandVec;
-    Iterator(const BandVec* vec, size_t chunk, size_t off)
-        : vec_(vec), chunk_(chunk), off_(off) {}
-    const BandVec* vec_;
-    size_t chunk_;
-    size_t off_;
-  };
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  Iterator begin() const { return Iterator(this, 0, 0); }
-
-  /// Appends at the end (writer thread only) — the escape-hatch mode where
-  /// lists grow in record-id order.
-  void PushBack(uint32_t value) {
-    if (chunks_.empty() || chunks_.back()->size() >= kChunkSize) {
-      AppendChunk();
-    } else if (!owned_.back()) {
-      CloneChunk(chunks_.size() - 1);
-    }
-    chunks_.back()->push_back(value);
-    ++size_;
-  }
-
-  /// Ordered insert (writer thread only). `sorts_before(e)` answers "does
-  /// the new value order strictly before existing element e" and must be
-  /// monotone along the list (false then true); the value lands at the
-  /// first true position. Returns the number of entries shifted (all within
-  /// one chunk).
-  template <typename Pred>
-  size_t Insert(uint32_t value, Pred&& sorts_before) {
-    if (size_ == 0) {
-      PushBack(value);
-      return 0;
-    }
-    // First chunk whose last element the value sorts before holds the slot;
-    // no such chunk means the value goes at the very end.
-    size_t lo = 0;
-    size_t hi = chunks_.size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (sorts_before(chunks_[mid]->back())) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    const size_t c = lo == chunks_.size() ? chunks_.size() - 1 : lo;
-    if (!owned_[c]) CloneChunk(c);
-    Chunk& chunk = *chunks_[c];
-    size_t plo = 0;
-    size_t phi = chunk.size();
-    while (plo < phi) {
-      const size_t mid = plo + (phi - plo) / 2;
-      if (sorts_before(chunk[mid])) {
-        phi = mid;
-      } else {
-        plo = mid + 1;
-      }
-    }
-    chunk.insert(chunk.begin() + static_cast<ptrdiff_t>(plo), value);
-    ++size_;
-    const size_t shifted = chunk.size() - 1 - plo;
-    if (chunk.size() > kChunkSize) SplitChunk(c);
-    return shifted;
-  }
-
-  /// First position with `pred(element)` true; `pred` must be monotone
-  /// along the list (false then true). End iterator when none.
-  template <typename Pred>
-  Iterator LowerBound(Pred&& pred) const {
-    size_t lo = 0;
-    size_t hi = chunks_.size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (pred(chunks_[mid]->back())) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    if (lo == chunks_.size()) return Iterator(this, lo, 0);
-    const Chunk& chunk = *chunks_[lo];
-    size_t plo = 0;
-    size_t phi = chunk.size();
-    while (plo < phi) {
-      const size_t mid = plo + (phi - plo) / 2;
-      if (pred(chunk[mid])) {
-        phi = mid;
-      } else {
-        plo = mid + 1;
-      }
-    }
-    return Iterator(this, lo, plo);
-  }
-
-  /// Marks every chunk as shared; same contract as CowVec::Seal.
-  void Seal() { owned_.assign(owned_.size(), false); }
-
- private:
-  using Chunk = std::vector<uint32_t>;
-
-  void AppendChunk() {
-    chunks_.push_back(std::make_shared<Chunk>());
-    chunks_.back()->reserve(kChunkSize + 1);
-    owned_.push_back(true);
-  }
-
-  void CloneChunk(size_t chunk) {
-    auto clone = std::make_shared<Chunk>();
-    clone->reserve(kChunkSize + 1);
-    clone->insert(clone->end(), chunks_[chunk]->begin(),
-                  chunks_[chunk]->end());
-    chunks_[chunk] = std::move(clone);
-    owned_[chunk] = true;
-  }
-
-  void SplitChunk(size_t c) {
-    Chunk& left = *chunks_[c];
-    auto right = std::make_shared<Chunk>();
-    right->reserve(kChunkSize + 1);
-    const size_t half = left.size() / 2;
-    right->assign(left.begin() + static_cast<ptrdiff_t>(half), left.end());
-    left.resize(half);
-    chunks_.insert(chunks_.begin() + static_cast<ptrdiff_t>(c) + 1,
-                   std::move(right));
-    owned_.insert(owned_.begin() + static_cast<ptrdiff_t>(c) + 1, true);
-  }
-
-  std::vector<std::shared_ptr<Chunk>> chunks_;
-  std::vector<bool> owned_;
-  size_t size_ = 0;
-};
-
 /// One indexed fact: a (C, M) pair discovered for `tuple` at its arrival,
 /// with the at-arrival prominence numbers. The index serves the stream of
 /// ArrivalReports, so prominence is "as of the arrival that minted the
@@ -340,12 +178,6 @@ class FactIndexSnapshot {
       std::numeric_limits<uint32_t>::max();
   static constexpr int kProminenceBuckets = 64;
 
-  /// Maintenance counters of the skyband serving bands, published with each
-  /// epoch (cumulative since index construction; /statz renders them).
-  struct SkybandStats {
-    uint64_t band_inserts = 0;     ///< sorted insertions into serving bands
-    uint64_t shifted_records = 0;  ///< entries shifted to keep band order
-  };
 
   /// Mutations applied when this epoch was published.
   uint64_t epoch() const { return epoch_; }
@@ -388,12 +220,6 @@ class FactIndexSnapshot {
   /// Arrival seq of tuple `t`, or kNoArrival.
   uint32_t ArrivalOfTuple(TupleId t) const;
 
-  /// True when this epoch's prominence buckets and shape lists are kept in
-  /// TopK order (the skyband serving bands): TopK walks them with an early
-  /// exit and no per-query sort. False reproduces the pre-skyband scan.
-  bool skyband_enabled() const { return skyband_; }
-  const SkybandStats& skyband_stats() const { return skyband_stats_; }
-
  private:
   friend class FactIndex;
 
@@ -404,24 +230,19 @@ class FactIndexSnapshot {
   /// TupleId -> arrival seq (kNoArrival for ids the index never saw).
   CowVec<uint32_t> tuple_to_arrival_;
   /// Record ids bucketed by floor(log2(prominence)) + 1 (bucket 0 holds
-  /// prominence < 1, i.e. unranked records). Bucket ranges are disjoint, so
-  /// walking buckets high-to-low visits records in coarse prominence order.
-  std::array<BandVec, kProminenceBuckets> by_prominence_;
-  /// Record ids per constraint bound mask / measure subspace: a TopK whose
-  /// filter pins the shape scans only the matching list instead of the
-  /// prominence buckets.
-  std::vector<std::pair<DimMask, BandVec>> by_bound_;
-  std::vector<std::pair<MeasureMask, BandVec>> by_subspace_;
+  /// prominence < 1, i.e. unranked records), in record-id order. Bucket
+  /// ranges are disjoint, so walking buckets high-to-low visits records in
+  /// coarse prominence order.
+  std::array<CowVec<uint32_t>, kProminenceBuckets> by_prominence_;
+  /// Record ids per constraint bound mask / measure subspace, in record-id
+  /// order: a TopK whose filter pins the shape scans only the matching list
+  /// instead of the prominence buckets.
+  std::vector<std::pair<DimMask, CowVec<uint32_t>>> by_bound_;
+  std::vector<std::pair<MeasureMask, CowVec<uint32_t>>> by_subspace_;
   uint64_t epoch_ = 0;
-  /// Lists above are TopK-sorted (skyband serving bands) when set; in
-  /// insertion (record id) order otherwise.
-  bool skyband_ = false;
-  SkybandStats skyband_stats_;
 
-  const BandVec* BoundList(DimMask mask) const;
-  const BandVec* SubspaceList(MeasureMask mask) const;
-  TopKResult TopKOrdered(size_t k, const FactFilter& filter,
-                         const std::optional<TopKCursor>& cursor) const;
+  const CowVec<uint32_t>* BoundList(DimMask mask) const;
+  const CowVec<uint32_t>* SubspaceList(MeasureMask mask) const;
 };
 
 /// Secondary index over the stream of discovered facts, maintained
@@ -446,13 +267,6 @@ class FactIndex {
     bool store_narrations = true;
     /// Dimension naming the acting entity for narration; -1 for none.
     int entity_dim = -1;
-    /// Maintain the prominence buckets and shape lists in TopK order (the
-    /// skyband serving bands): each AddRecord pays a binary-searched
-    /// insertion so TopK never sorts and stops at the k-th match. Off
-    /// reproduces the append-order lists and the scan-then-sort TopK;
-    /// results are byte-identical either way (pinned by the fuzz
-    /// differential). FactService resolves SITFACT_SKYBAND_INDEX into this.
-    bool skyband_index = true;
   };
 
   /// `relation` must outlive the index and is read only from the writer

@@ -68,18 +68,6 @@ SkylineQueryEngine::SkylineQueryEngine(const Relation* relation)
 SkylineQueryResult SkylineQueryEngine::Evaluate(const Constraint& c,
                                                 MeasureMask m,
                                                 QueryAlgorithm algo) const {
-  // The planner's fastest plan: under Invariant 1 an attached skyband
-  // index already holds λ_M(σ_C(R)) for every covered shape (a shape with
-  // no band has an empty context), so kAuto short-circuits to a sorted
-  // copy. A forced algorithm still scans, keeping an index-free oracle
-  // reachable.
-  if (algo == QueryAlgorithm::kAuto && skyband_ != nullptr &&
-      skyband_->CoversQuery(c, m)) {
-    SkylineQueryResult result;
-    result.skyline = skyband_->Members(c, m);
-    result.from_index = true;
-    return result;
-  }
   std::vector<TupleId> candidates;
   for (TupleId t = 0; t < relation_->size(); ++t) {
     if (!relation_->IsDeleted(t) && c.SatisfiedBy(*relation_, t)) {

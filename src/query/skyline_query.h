@@ -8,7 +8,6 @@
 #include "common/types.h"
 #include "lattice/constraint.h"
 #include "relation/relation.h"
-#include "skyline/skyband_index.h"
 
 namespace sitfact {
 
@@ -90,9 +89,6 @@ struct QueryStats {
 struct SkylineQueryResult {
   std::vector<TupleId> skyline;  ///< ascending TupleId order
   QueryStats stats;
-  /// True when an attached SkybandIndex served the answer directly (no
-  /// context scan, no dominance tests; stats stay zero).
-  bool from_index = false;
 };
 
 /// Evaluates contextual skyline queries against a live Relation. Stateless
@@ -101,17 +97,6 @@ class SkylineQueryEngine {
  public:
   /// `relation` must outlive the engine.
   explicit SkylineQueryEngine(const Relation* relation);
-
-  /// Routes future kAuto Evaluate calls through `index` for the query
-  /// shapes it covers (a live Invariant-1 index within its dimension
-  /// knobs): the µ bucket IS λ_M(σ_C(R)) there, so the answer comes out of
-  /// the index without scanning the relation. nullptr — or an index that is
-  /// not live — detaches and restores pure scans. The index must outlive
-  /// the engine (or be detached first) and forced algorithms always bypass
-  /// it, which is what differential tests diff against.
-  void set_skyband(const SkybandIndex* index) {
-    skyband_ = (index != nullptr && index->live()) ? index : nullptr;
-  }
 
   /// λ_M(σ_C(R)) over all live (non-deleted) tuples.
   SkylineQueryResult Evaluate(const Constraint& c, MeasureMask m,
@@ -158,7 +143,6 @@ class SkylineQueryEngine {
                               int depth, QueryStats* stats) const;
 
   const Relation* relation_;
-  const SkybandIndex* skyband_ = nullptr;
 };
 
 }  // namespace sitfact

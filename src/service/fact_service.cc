@@ -18,7 +18,6 @@ FactIndex::Options FactService::IndexOptions(const Relation* relation,
   out.entity_dim = options.entity.empty()
                        ? -1
                        : relation->schema().DimensionIndex(options.entity);
-  out.skyband_index = options.skyband_index && SkybandIndexEnabledFromEnv();
   return out;
 }
 
@@ -133,14 +132,12 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
   auto service = std::make_unique<FactService>(relation, options);
   ContextCounter counter(disc->max_bound_dims());
   // The replay rides the same skyband shadow a live engine would keep, so a
-  // rebuilt service exercises (and is accelerated by) the identical
-  // prominence path. SBottomUp's store is in-memory, hence notifying.
+  // rebuilt service exercises the identical prominence path. A store that
+  // does not notify (file-backed) is read directly instead.
   SkybandIndex skyband;
-  if (SkybandIndexEnabledFromEnv() && disc->mutable_store() != nullptr &&
+  if (disc->mutable_store() != nullptr &&
       disc->mutable_store()->NotifiesObservers()) {
-    skyband.Attach(disc->mutable_store(), disc->storage_policy(),
-                   disc->max_bound_dims(),
-                   static_cast<int>(disc->subspaces().max_size()));
+    skyband.Attach(disc->mutable_store(), disc->storage_policy());
   }
   ArrivalReport report;
   for (TupleId t = 0; t < relation->size(); ++t) {

@@ -38,12 +38,6 @@ class FactService {
     /// Dimension naming the acting entity for narrations (e.g. "player");
     /// empty picks no subject.
     std::string entity;
-    /// Keep the index's prominence buckets and shape lists in TopK order
-    /// (the skyband serving bands), so TopK/About pages come off a sorted
-    /// walk instead of a scan-and-sort. ANDed with the
-    /// SITFACT_SKYBAND_INDEX environment escape hatch; responses are
-    /// byte-identical either way.
-    bool skyband_index = true;
   };
 
   /// `relation` must outlive the service; it is read only from the writer
@@ -140,13 +134,14 @@ class FactService {
     /// a numeric summary otherwise). Never touches the live Relation.
     std::string Explain(const FactView& view) const;
 
-    /// Whether this epoch's serving lists are TopK-sorted (the skyband
-    /// serving bands), plus the cumulative maintenance counters behind
-    /// them; /statz renders both.
-    bool skyband_enabled() const { return state_->skyband_enabled(); }
-    const FactIndexSnapshot::SkybandStats& skyband_stats() const {
-      return state_->skyband_stats();
-    }
+    /// Maintenance counters of the retired TopK-sorted serving lists. The
+    /// index keeps its lists in record-id order, so both are always zero;
+    /// the repo benchmark (perfbench/) is the only reader left.
+    struct SkybandStats {
+      uint64_t band_inserts = 0;
+      uint64_t shifted_records = 0;
+    };
+    SkybandStats skyband_stats() const { return {}; }
 
    private:
     friend class FactService;

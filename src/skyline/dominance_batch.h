@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 #include "common/bits.h"
 #include "common/types.h"
@@ -27,9 +26,9 @@ namespace sitfact {
 /// branch-free mask assembly.
 ///
 /// The column inner loops dispatch through the SIMD tier table
-/// (skyline/dominance_simd.h): AVX2 / SSE2 intrinsic paths selected once
-/// per process from cpuid (override with SITFACT_SIMD=scalar|sse2|avx2),
-/// with the scalar loops below kept verbatim as the bit-identical oracle.
+/// (skyline/dominance_simd.h): an AVX2 intrinsic path selected once per
+/// process from cpuid (override with SITFACT_SIMD=scalar|avx2), with the
+/// scalar loops below kept verbatim as the bit-identical oracle.
 /// The `...With` kernel variants take an explicit op table so tests and
 /// benches can pin a tier; the plain names use the active tier.
 ///
@@ -181,78 +180,6 @@ inline void AgreeMaskRange(const Relation& r, TupleId t, TupleId begin,
                            TupleId end, DimMask* out) {
   AgreeMaskRangeWith(ActiveDominanceOps(), r, t, begin, end, out);
 }
-
-/// Candidate keys gathered once into a compact column-major block, for
-/// consumers that scan the same candidate list many times (C-CSC runs one
-/// skyline query per subspace over one candidate set, and every probe of a
-/// query rescans the whole set). Direct batch kernels pay one gather per
-/// (pair, column) — fine for a single pass, but at relation sizes beyond
-/// the L1 working set the repeated gathers dominate. Gathering the |m|
-/// selected columns once costs the same as a single probe's scan; every
-/// subsequent probe then streams contiguous, cache-resident compact
-/// columns.
-///
-/// Bits in the emitted partitions keep their original measure positions,
-/// so DominatedInSubspace/DominatesInSubspace work unchanged.
-class CompactKeyBlock {
- public:
-  /// Gathers the key columns selected by `m` for `ids[0..count)`. Previous
-  /// contents are discarded; the scratch is reused across calls.
-  void Gather(const Relation& r, const TupleId* ids, size_t count,
-              MeasureMask m) {
-    count_ = count;
-    width_ = 0;
-    keys_.resize(static_cast<size_t>(PopCount(m)) * count);
-    ForEachBit(m, [&](int j) {
-      const double* col = r.key_column(j);
-      double* dst = keys_.data() + static_cast<size_t>(width_) * count;
-      for (size_t i = 0; i < count; ++i) dst[i] = col[ids[i]];
-      jbit_[width_] = static_cast<uint8_t>(j);
-      ++width_;
-    });
-  }
-
-  size_t count() const { return count_; }
-
-  /// Loads probe `t`'s keys for the gathered measures into pk[0..width).
-  void ProbeKeys(const Relation& r, TupleId t, double* pk) const {
-    for (int k = 0; k < width_; ++k) {
-      pk[k] = r.key_column(jbit_[k])[t];
-    }
-  }
-
-  /// Probe keys of ids[i] from the gathered block itself (the skyline-of-a-
-  /// set pattern, where every probe is also a candidate).
-  void ProbeKeysAt(size_t i, double* pk) const {
-    for (int k = 0; k < width_; ++k) {
-      pk[k] = keys_[static_cast<size_t>(k) * count_ + i];
-    }
-  }
-
-  /// out[i] = partition of the probe (keys `pk`, as filled by ProbeKeys)
-  /// against ids[begin + i], restricted to `msub` ∩ the gathered measures,
-  /// for i in [0, n); begin + n <= count(). The compact columns are
-  /// contiguous, so this runs the same dispatched range primitive as
-  /// PartitionRange.
-  void PartitionRun(const double* pk, size_t begin, size_t n, MeasureMask msub,
-                    Relation::MeasurePartition* out) const {
-    const DominanceColumnOps& ops = ActiveDominanceOps();
-    std::fill_n(out, n, Relation::MeasurePartition{});
-    for (int k = 0; k < width_; ++k) {
-      MeasureMask bit = MeasureMask{1} << jbit_[k];
-      if ((msub & bit) == 0) continue;
-      const double* col = keys_.data() + static_cast<size_t>(k) * count_ +
-                          begin;
-      ops.partition_column_range(col, pk[k], n, bit, out);
-    }
-  }
-
- private:
-  std::vector<double> keys_;  // [k * count_ + i], k-th gathered measure
-  uint8_t jbit_[kMaxMeasures] = {};
-  int width_ = 0;
-  size_t count_ = 0;
-};
 
 /// Serves `Partition(t, ids[i])` for a forward scan of an id array (a µ
 /// bucket, a candidate list) from lazily refilled blocks, so call sites

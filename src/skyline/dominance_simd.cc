@@ -54,98 +54,14 @@ constexpr DominanceColumnOps kScalarOps = {
 #if defined(SITFACT_X86)
 
 // ---------------------------------------------------------------------------
-// SSE2 tier: 2 doubles / 4 dimension values per instruction.
-
-__attribute__((target("sse2"))) void PartitionColumnRangeSse2(
-    const double* src, double tv, size_t count, MeasureMask bit,
-    Relation::MeasurePartition* out) {
-  size_t i = 0;
-  // Scalar head peel to 16B source alignment: the measure arena is
-  // 64B-aligned at index 0, so an odd `begin` lands here.
-  for (; i < count && (reinterpret_cast<uintptr_t>(src + i) & 15u) != 0;
-       ++i) {
-    double ov = src[i];
-    out[i].worse |= (tv < ov) ? bit : 0u;
-    out[i].better |= (tv > ov) ? bit : 0u;
-  }
-  const __m128d vt = _mm_set1_pd(tv);
-  const __m128i wbit = _mm_set1_epi64x(static_cast<long long>(bit));
-  const __m128i bbit =
-      _mm_set1_epi64x(static_cast<long long>(static_cast<uint64_t>(bit) << 32));
-  for (; i + 2 <= count; i += 2) {
-    __m128d ov = _mm_load_pd(src + i);
-    __m128i lt = _mm_castpd_si128(_mm_cmplt_pd(vt, ov));  // NaN → 0
-    __m128i gt = _mm_castpd_si128(_mm_cmpgt_pd(vt, ov));
-    __m128i contrib = _mm_or_si128(_mm_and_si128(lt, wbit),
-                                   _mm_and_si128(gt, bbit));
-    __m128i* dst = reinterpret_cast<__m128i*>(out + i);
-    _mm_storeu_si128(dst, _mm_or_si128(_mm_loadu_si128(dst), contrib));
-  }
-  for (; i < count; ++i) {  // sub-vector tail
-    double ov = src[i];
-    out[i].worse |= (tv < ov) ? bit : 0u;
-    out[i].better |= (tv > ov) ? bit : 0u;
-  }
-}
-
-__attribute__((target("sse2"))) void PartitionColumnGatherSse2(
-    const double* col, double tv, const TupleId* ids, size_t count,
-    MeasureMask bit, Relation::MeasurePartition* out) {
-  const __m128d vt = _mm_set1_pd(tv);
-  const __m128i wbit = _mm_set1_epi64x(static_cast<long long>(bit));
-  const __m128i bbit =
-      _mm_set1_epi64x(static_cast<long long>(static_cast<uint64_t>(bit) << 32));
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    // SSE2 has no gather; two scalar loads packed per vector.
-    __m128d ov = _mm_set_pd(col[ids[i + 1]], col[ids[i]]);
-    __m128i lt = _mm_castpd_si128(_mm_cmplt_pd(vt, ov));
-    __m128i gt = _mm_castpd_si128(_mm_cmpgt_pd(vt, ov));
-    __m128i contrib = _mm_or_si128(_mm_and_si128(lt, wbit),
-                                   _mm_and_si128(gt, bbit));
-    __m128i* dst = reinterpret_cast<__m128i*>(out + i);
-    _mm_storeu_si128(dst, _mm_or_si128(_mm_loadu_si128(dst), contrib));
-  }
-  for (; i < count; ++i) {
-    double ov = col[ids[i]];
-    out[i].worse |= (tv < ov) ? bit : 0u;
-    out[i].better |= (tv > ov) ? bit : 0u;
-  }
-}
-
-__attribute__((target("sse2"))) void AgreeColumnRangeSse2(const ValueId* src,
-                                                          ValueId tv,
-                                                          size_t count,
-                                                          DimMask bit,
-                                                          DimMask* out) {
-  const __m128i vt = _mm_set1_epi32(static_cast<int>(tv));
-  const __m128i vbit = _mm_set1_epi32(static_cast<int>(bit));
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m128i sv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    __m128i contrib = _mm_and_si128(_mm_cmpeq_epi32(sv, vt), vbit);
-    __m128i* dst = reinterpret_cast<__m128i*>(out + i);
-    _mm_storeu_si128(dst, _mm_or_si128(_mm_loadu_si128(dst), contrib));
-  }
-  for (; i < count; ++i) {
-    out[i] |= (src[i] == tv) ? bit : 0u;
-  }
-}
-
-constexpr DominanceColumnOps kSse2Ops = {
-    PartitionColumnRangeSse2,
-    PartitionColumnGatherSse2,
-    AgreeColumnRangeSse2,
-};
-
-// ---------------------------------------------------------------------------
 // AVX2 tier: 4 doubles / 8 dimension values per instruction.
 
 __attribute__((target("avx2"))) void PartitionColumnRangeAvx2(
     const double* src, double tv, size_t count, MeasureMask bit,
     Relation::MeasurePartition* out) {
   size_t i = 0;
+  // Scalar head peel to 32B source alignment: the measure arena is
+  // 64B-aligned at index 0, so an unaligned `begin` lands here.
   for (; i < count && (reinterpret_cast<uintptr_t>(src + i) & 31u) != 0;
        ++i) {
     double ov = src[i];
@@ -242,8 +158,6 @@ const DominanceColumnOps& DominanceOpsForTier(SimdTier tier) {
   switch (tier) {
     case SimdTier::kAvx2:
       return kAvx2Ops;
-    case SimdTier::kSse2:
-      return kSse2Ops;
     case SimdTier::kScalar:
       return kScalarOps;
   }

@@ -12,12 +12,14 @@ namespace sitfact {
 /// SIMD tiers for the batched Prop.-4 kernels (skyline/dominance_batch.h).
 ///
 /// The kernels all reduce to three column-shaped inner loops; this table
-/// holds one function pointer per shape, with scalar / SSE2 / AVX2
-/// implementations selected once per process (common/cpu.h). Dispatching at
-/// the column level keeps the kernel drivers — the per-measure loops, mask
-/// handling, ramping, and every call site in skyline/, csc/, core/ and
-/// exec/ — identical across tiers, so the scalar-vs-SIMD bit-for-bit
-/// contract only has to hold for these three primitives.
+/// holds one function pointer per shape, with scalar and AVX2
+/// implementations selected once per process (common/cpu.h). There is no
+/// SSE2 tier: GCC already vectorizes the scalar loops with SSE2.
+/// Dispatching at the column level keeps the kernel bodies — the
+/// per-measure loops, mask handling, ramping, and every call site in
+/// skyline/, core/ and exec/ — identical across tiers, so the
+/// scalar-vs-SIMD bit-for-bit contract only has to hold for these three
+/// primitives.
 ///
 /// Contract (pinned by dominance_batch_test under every tier): each op is
 /// bit-identical to its scalar twin in dominance_batch.h's `internal`

@@ -1,36 +1,30 @@
 #include "skyline/skyband_index.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/bits.h"
 #include "common/logging.h"
 
 namespace sitfact {
 
-bool SkybandIndexEnabledFromEnv() {
-  const char* v = std::getenv("SITFACT_SKYBAND_INDEX");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  return s != "off" && s != "0";
-}
-
-void SkybandIndex::Attach(MuStore* store, StoragePolicy policy,
-                          int max_bound_dims, int max_measure_dims) {
+void SkybandIndex::Attach(MuStore* store, StoragePolicy policy) {
   SITFACT_CHECK(store != nullptr);
   Detach();
   std::lock_guard<std::mutex> lock(mu_);
   store_ = store;
   policy_ = policy;
   live_ = store->NotifiesObservers();
-  max_bound_dims_ = max_bound_dims;
-  max_measure_dims_ = max_measure_dims;
   // Register before priming: the single-writer contract means no mutation
   // can slip between the two, and attaching mid-stream (restored store)
-  // starts from the store's current contents either way.
+  // starts from the store's current contents either way. ForEachBucket
+  // calls straight back into ApplyLocked: the store's visit runs on this
+  // thread, under our lock, and never re-enters the index.
   store_->set_bucket_observer(this);
-  RebuildLocked();
+  store_->ForEachBucket([this](const Constraint& c, MeasureMask m,
+                               const std::vector<TupleId>& bucket) {
+    ApplyLocked(c, m, bucket);
+  });
+  ++stats_.rebuilds;
 }
 
 void SkybandIndex::Detach() {
@@ -41,23 +35,6 @@ void SkybandIndex::Detach() {
   }
   live_ = false;
   ClearLocked();
-}
-
-void SkybandIndex::Rebuild() {
-  std::lock_guard<std::mutex> lock(mu_);
-  RebuildLocked();
-}
-
-void SkybandIndex::RebuildLocked() {
-  SITFACT_CHECK(store_ != nullptr);
-  ClearLocked();
-  // ForEachBucket calls straight back into ApplyLocked: the store's visit
-  // runs on this thread, under our lock, and never re-enters the index.
-  store_->ForEachBucket([this](const Constraint& c, MeasureMask m,
-                               const std::vector<TupleId>& bucket) {
-    ApplyLocked(c, m, bucket);
-  });
-  ++stats_.rebuilds;
 }
 
 bool SkybandIndex::attached() const {
@@ -162,49 +139,6 @@ uint64_t SkybandIndex::UnionSkylineSize(const Relation& r, const Constraint& c,
       std::unique(union_scratch_.begin(), union_scratch_.end()),
       union_scratch_.end());
   return union_scratch_.size();
-}
-
-bool SkybandIndex::Contains(const Constraint& c, MeasureMask m,
-                            TupleId t) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Band* band = FindBandLocked(c, m);
-  if (band == nullptr) return false;
-  return std::find(band->members.begin(), band->members.end(), t) !=
-         band->members.end();
-}
-
-std::vector<TupleId> SkybandIndex::Members(const Constraint& c,
-                                           MeasureMask m) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.query_probes;
-  const Band* band = FindBandLocked(c, m);
-  std::vector<TupleId> out;
-  if (band != nullptr) {
-    out = band->members;
-    std::sort(out.begin(), out.end());
-  }
-  return out;
-}
-
-bool SkybandIndex::CoversQuery(const Constraint& c, MeasureMask m) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!live_ || policy_ != StoragePolicy::kAllSkylineConstraints) return false;
-  if (m == 0) return false;
-  if (max_bound_dims_ >= 0 && c.BoundCount() > max_bound_dims_) return false;
-  if (max_measure_dims_ >= 0 &&
-      PopCount(static_cast<uint32_t>(m)) > max_measure_dims_) {
-    return false;
-  }
-  return true;
-}
-
-void SkybandIndex::ForEachBand(
-    const std::function<void(const Constraint&, MeasureMask,
-                             const std::vector<TupleId>&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [c, family] : families_) {
-    for (const Band& band : family) fn(c, band.mask, band.members);
-  }
 }
 
 SkybandIndex::Stats SkybandIndex::stats() const {

@@ -2,7 +2,6 @@
 #define SITFACT_SKYLINE_SKYBAND_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -13,13 +12,6 @@
 #include "storage/mu_store.h"
 
 namespace sitfact {
-
-/// Master switch for the skyband index layers, read once per consumer:
-/// SITFACT_SKYBAND_INDEX=off (or 0) disables them, anything else — including
-/// unset — leaves them on. One escape hatch covers both the µ-side shadow
-/// (this file) and the FactIndex serving bands, so a single environment
-/// variable restores the pre-index behaviour end to end.
-bool SkybandIndexEnabledFromEnv();
 
 /// Incremental per-(constraint, measure-subspace) skyband shadow of a µ
 /// store — the paper's prominence denominator |λ_M(σ_C(R))| turned into a
@@ -33,21 +25,18 @@ bool SkybandIndexEnabledFromEnv();
 ///    after every mutation, including shard-parallel ones (one internal
 ///    mutex; the per-bucket copy is the price of O(1) size probes).
 ///  * non-notifying stores (the file-backed stores) and restored dumps:
-///    Rebuild() primes the bands from ForEachBucket. The index is a frozen
+///    Attach() primes the bands from ForEachBucket. The index is a frozen
 ///    snapshot, not live; consumers must fall back to store reads once the
 ///    store mutates again.
 ///
 /// What it answers without touching the store:
-///  * Invariant 1 (kAllSkylineConstraints): a band IS λ_M(σ_C(R)) — size,
-///    membership and the full member list are direct reads. This also makes
-///    the band a valid answer to the *forward* contextual-skyline query,
-///    which is how SkylineQueryEngine's planner uses it (the small-context
-///    path becomes a probe; fallbacks run the usual dominance kernels).
+///  * Invariant 1 (kAllSkylineConstraints): a band IS λ_M(σ_C(R)), so its
+///    size is the prominence denominator.
 ///  * Invariant 2 (kMaximalSkylineConstraints): λ is the deduplicated union
 ///    of C's ancestor bands filtered by satisfaction of C — the same walk
 ///    ProminenceEvaluator does against the store, minus every bucket read.
 ///
-/// Threading: Attach/Detach/Rebuild and all probes belong to the engine's
+/// Threading: Attach/Detach and all probes belong to the engine's
 /// writer thread; OnBucketChanged may arrive concurrently from shard pool
 /// threads (SegmentedMuStore forwards to per-shard segments). Every method
 /// takes the one internal mutex, and none calls out while holding it, so
@@ -58,10 +47,9 @@ class SkybandIndex : public MuStore::BucketObserver {
   /// Maintenance and probe counters (monotonic except the three gauges).
   struct Stats {
     uint64_t notifications = 0;  ///< OnBucketChanged callbacks folded in
-    uint64_t rebuilds = 0;       ///< ForEachBucket re-primes
+    uint64_t rebuilds = 0;       ///< ForEachBucket primes (one per Attach)
     uint64_t size_probes = 0;    ///< Invariant-1 SkylineSize answers
     uint64_t union_probes = 0;   ///< Invariant-2 union answers
-    uint64_t query_probes = 0;   ///< forward-query band reads (Members)
     uint64_t families = 0;       ///< gauge: constraints with >= 1 band
     uint64_t bands = 0;          ///< gauge: non-empty (C, M) bands
     uint64_t members = 0;        ///< gauge: Σ band sizes
@@ -73,21 +61,14 @@ class SkybandIndex : public MuStore::BucketObserver {
   SkybandIndex(const SkybandIndex&) = delete;
   SkybandIndex& operator=(const SkybandIndex&) = delete;
 
-  /// Registers as `store`'s observer, records the invariant and the
-  /// truncation knobs (d̂ / m̂, -1 for unlimited — forward-query eligibility
-  /// needs them), and primes the bands from ForEachBucket so attaching to
-  /// an already-populated store (a restored snapshot) starts coherent.
-  /// live() afterwards iff the store notifies.
-  void Attach(MuStore* store, StoragePolicy policy, int max_bound_dims = -1,
-              int max_measure_dims = -1);
+  /// Registers as `store`'s observer, records the invariant, and primes
+  /// the bands from ForEachBucket so attaching to an already-populated
+  /// store (a restored snapshot) starts coherent. live() afterwards iff the
+  /// store notifies.
+  void Attach(MuStore* store, StoragePolicy policy);
 
   /// Unregisters from the store and drops every band.
   void Detach();
-
-  /// Re-primes the bands from the attached store's ForEachBucket (the
-  /// restore path for non-notifying stores; costs one bucket materialization
-  /// each, i.e. one file read per bucket on a file store).
-  void Rebuild();
 
   bool attached() const;
   /// True when the bands track every store mutation (notifying store).
@@ -111,25 +92,6 @@ class SkybandIndex : public MuStore::BucketObserver {
                : UnionSkylineSize(r, c, m);
   }
 
-  /// Band membership of `t` (Invariant-1 skyband membership test).
-  bool Contains(const Constraint& c, MeasureMask m, TupleId t) const;
-
-  /// Copy of the band in ascending TupleId order; empty when absent. Under
-  /// Invariant 1 this is λ_M(σ_C(R)) in SkylineQueryResult order.
-  std::vector<TupleId> Members(const Constraint& c, MeasureMask m) const;
-
-  /// True when a live Invariant-1 index can answer the forward query
-  /// λ_M(σ_C(R)) for (c, m) authoritatively: the constraint is within the
-  /// attached store's truncation knobs, so an absent band proves an empty
-  /// context rather than an unindexed one.
-  bool CoversQuery(const Constraint& c, MeasureMask m) const;
-
-  /// Visits every band (unspecified order; members in store order). `fn`
-  /// must not call back into the index — the lock is held.
-  void ForEachBand(
-      const std::function<void(const Constraint&, MeasureMask,
-                               const std::vector<TupleId>&)>& fn) const;
-
   Stats stats() const;
   size_t ApproxMemoryBytes() const;
 
@@ -140,7 +102,7 @@ class SkybandIndex : public MuStore::BucketObserver {
 
  private:
   /// One mirrored bucket. Members stay in store order (a replace is then
-  /// one vector assign); probes that need sorted output sort their copy.
+  /// one vector assign).
   struct Band {
     MeasureMask mask = 0;
     std::vector<TupleId> members;
@@ -154,14 +116,11 @@ class SkybandIndex : public MuStore::BucketObserver {
   void ApplyLocked(const Constraint& c, MeasureMask m,
                    const std::vector<TupleId>& bucket);
   void ClearLocked();
-  void RebuildLocked();
 
   mutable std::mutex mu_;
   MuStore* store_ = nullptr;
   StoragePolicy policy_ = StoragePolicy::kAllSkylineConstraints;
   bool live_ = false;
-  int max_bound_dims_ = -1;
-  int max_measure_dims_ = -1;
   std::unordered_map<Constraint, Family, ConstraintHash> families_;
   mutable Stats stats_;
   mutable std::vector<TupleId> union_scratch_;

@@ -49,12 +49,9 @@ std::vector<MeasureMask> NaiveMinimumSubspaces(
   return out;
 }
 
-/// Every storage-invariant and query test runs twice: once against the
-/// legacy scan-based cube and once with a SubspaceIndex attached (the
-/// C-CSC production configuration since the rebuild). The invariants and
-/// outputs must be identical in both modes — only the comparison counts
-/// may differ.
-class CscTest : public ::testing::TestWithParam<bool> {
+/// Streams a dataset through one cube and its SubspaceIndex the way
+/// CcscDiscoverer drives a context: index first, then the cube.
+class CscTest : public ::testing::Test {
  protected:
   void Stream(const Dataset& data, int max_measure_dims = -1) {
     relation_ = std::make_unique<Relation>(data.schema());
@@ -62,36 +59,30 @@ class CscTest : public ::testing::TestWithParam<bool> {
                                   : max_measure_dims;
     universe_ =
         std::make_unique<SubspaceUniverse>(data.schema().num_measures(), mm);
-    cube_ = std::make_unique<CompressedSkycube>(universe_.get());
-    if (GetParam()) {
-      index_ = std::make_unique<SubspaceIndex>(relation_.get());
-      cube_->AttachIndex(index_.get());
-    }
+    index_ = std::make_unique<SubspaceIndex>(relation_.get());
+    cube_ = std::make_unique<CompressedSkycube>(universe_.get(), index_.get());
     uint64_t comparisons = 0;
     for (const Row& row : data.rows()) {
       TupleId t = relation_->Append(row);
       members_.push_back(t);
-      if (index_ != nullptr) {
-        index_->Insert(t);
-        memo_.BeginArrival(*relation_, t);
-      }
+      index_->Insert(t);
+      memo_.BeginArrival(*relation_, t);
       std::vector<MeasureMask> sky;
-      cube_->Insert(*relation_, t, &sky, &comparisons,
-                    index_ != nullptr ? &memo_ : nullptr);
+      cube_->Insert(*relation_, t, &sky, &comparisons, &memo_);
       last_sky_ = std::move(sky);
     }
   }
 
   std::unique_ptr<Relation> relation_;
   std::unique_ptr<SubspaceUniverse> universe_;
-  std::unique_ptr<CompressedSkycube> cube_;
   std::unique_ptr<SubspaceIndex> index_;
+  std::unique_ptr<CompressedSkycube> cube_;
   PartitionMemo memo_;
   std::vector<TupleId> members_;
   std::vector<MeasureMask> last_sky_;
 };
 
-TEST_P(CscTest, StoresTuplesExactlyAtMinimumSubspaces) {
+TEST_F(CscTest, StoresTuplesExactlyAtMinimumSubspaces) {
   RandomDataConfig cfg;
   cfg.num_tuples = 60;
   cfg.num_measures = 3;
@@ -114,7 +105,7 @@ TEST_P(CscTest, StoresTuplesExactlyAtMinimumSubspaces) {
   }
 }
 
-TEST_P(CscTest, InsertReportsExactSkylineMemberships) {
+TEST_F(CscTest, InsertReportsExactSkylineMemberships) {
   RandomDataConfig cfg;
   cfg.num_tuples = 50;
   cfg.num_measures = 3;
@@ -138,7 +129,7 @@ TEST_P(CscTest, InsertReportsExactSkylineMemberships) {
   EXPECT_EQ(expected, actual);
 }
 
-TEST_P(CscTest, QuerySkylineMatchesReference) {
+TEST_F(CscTest, QuerySkylineMatchesReference) {
   RandomDataConfig cfg;
   cfg.num_tuples = 70;
   cfg.num_measures = 3;
@@ -147,7 +138,7 @@ TEST_P(CscTest, QuerySkylineMatchesReference) {
 
   uint64_t comparisons = 0;
   for (MeasureMask m : universe_->masks()) {
-    auto got = cube_->QuerySkyline(*relation_, m, &comparisons);
+    auto got = cube_->QuerySkyline(m, &comparisons);
     auto want = ComputeSkyline(*relation_, members_, m);
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
@@ -156,7 +147,7 @@ TEST_P(CscTest, QuerySkylineMatchesReference) {
   EXPECT_GT(comparisons, 0u);
 }
 
-TEST_P(CscTest, ContainmentPropertyHolds) {
+TEST_F(CscTest, ContainmentPropertyHolds) {
   // Theorem behind the CSC: sky(M) ⊆ ∪_{N ⊆ M} CSC[N].
   RandomDataConfig cfg;
   cfg.num_tuples = 60;
@@ -179,7 +170,7 @@ TEST_P(CscTest, ContainmentPropertyHolds) {
   }
 }
 
-TEST_P(CscTest, TruncatedUniverseStaysConsistent) {
+TEST_F(CscTest, TruncatedUniverseStaysConsistent) {
   RandomDataConfig cfg;
   cfg.num_tuples = 50;
   cfg.num_measures = 4;
@@ -200,7 +191,7 @@ TEST_P(CscTest, TruncatedUniverseStaysConsistent) {
   }
 }
 
-TEST_P(CscTest, DuplicateMeasureVectorsCoexist) {
+TEST_F(CscTest, DuplicateMeasureVectorsCoexist) {
   Schema s({{"a"}}, {{"m0"}, {"m1"}});
   Dataset d(std::move(s));
   d.Add(Row{{"x"}, {5, 5}});
@@ -217,7 +208,7 @@ TEST_P(CscTest, DuplicateMeasureVectorsCoexist) {
   EXPECT_EQ(cube_->stored_count(), 4u);
 }
 
-TEST_P(CscTest, StoredCountAndMemoryTrackDemotions) {
+TEST_F(CscTest, StoredCountAndMemoryTrackDemotions) {
   Schema s({{"a"}}, {{"m0"}});
   Dataset d(std::move(s));
   d.Add(Row{{"x"}, {1}});
@@ -229,11 +220,6 @@ TEST_P(CscTest, StoredCountAndMemoryTrackDemotions) {
   EXPECT_EQ(cube_->stored_count(), 1u);
   EXPECT_GT(cube_->ApproxMemoryBytes(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, CscTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Indexed" : "Unindexed";
-                         });
 
 }  // namespace
 }  // namespace sitfact

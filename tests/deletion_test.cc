@@ -5,6 +5,7 @@
 // invariants.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,12 @@ struct DeletionCase {
   RandomDataConfig data;
   DiscoveryOptions options;
 };
+
+// Print the label, not gtest's default byte dump: the dump holds the string's
+// heap address, which would make the test's name differ from run to run.
+std::ostream& operator<<(std::ostream& os, const DeletionCase& c) {
+  return os << c.label;
+}
 
 class DeletionEquivalenceTest : public ::testing::TestWithParam<DeletionCase> {
 };

@@ -202,68 +202,31 @@ TEST(DominanceBatchTest, BlockBoundarySizes) {
   }
 }
 
-TEST(DominanceBatchTest, CompactKeyBlockMatchesScalarPartition) {
-  Relation r = RandomRelation(300, 31, /*nan_prob=*/0.05);
-  Rng rng(31);
-  std::vector<TupleId> ids;
-  for (int i = 0; i < 120; ++i) {
-    ids.push_back(static_cast<TupleId>(rng.NextBounded(r.size())));
-  }
-  MeasureMask full = r.schema().FullMeasureMask();
-  CompactKeyBlock block;
-  std::vector<Relation::MeasurePartition> parts(ids.size());
-  double pk[kMaxMeasures];
-  for (MeasureMask gathered : {full, MeasureMask{0b0101u}, MeasureMask{1u}}) {
-    block.Gather(r, ids.data(), ids.size(), gathered);
-    ASSERT_EQ(block.count(), ids.size());
-    // External probe via ProbeKeys.
-    TupleId t = 7;
-    block.ProbeKeys(r, t, pk);
-    for (MeasureMask msub = 0; msub <= gathered; ++msub) {
-      if ((msub & ~gathered) != 0) continue;
-      block.PartitionRun(pk, 0, ids.size(), msub, parts.data());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        Relation::MeasurePartition want = r.Partition(t, ids[i]);
-        EXPECT_EQ(want.worse & msub, parts[i].worse);
-        EXPECT_EQ(want.better & msub, parts[i].better);
-      }
-    }
-    // In-list probe via ProbeKeysAt, and a mid-block run window.
-    block.ProbeKeysAt(3, pk);
-    size_t begin = 5, n = ids.size() - 9;
-    block.PartitionRun(pk, begin, n, gathered, parts.data());
-    for (size_t i = 0; i < n; ++i) {
-      Relation::MeasurePartition want = r.Partition(ids[3], ids[begin + i]);
-      EXPECT_EQ(want.worse & gathered, parts[i].worse);
-      EXPECT_EQ(want.better & gathered, parts[i].better);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SIMD dispatch tiers (skyline/dominance_simd.h). CI additionally runs this
-// whole binary once per forced tier (SITFACT_SIMD=scalar|sse2|avx2), which
+// whole binary once per forced tier (SITFACT_SIMD=scalar|avx2), which
 // exercises the env-resolved ActiveDominanceOps() path end to end; the
 // tests below sweep every tier the machine supports inside one process via
 // DominanceOpsForTier, so a dev box always covers all its tiers too.
 
 std::vector<SimdTier> AllTierNames() {
-  return {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2};
+  return {SimdTier::kScalar, SimdTier::kAvx2};
 }
 
 TEST(DominanceSimdTest, ResolveSimdTierPolicy) {
   // Explicit override below capability: honored.
   EXPECT_EQ(ResolveSimdTier("scalar", SimdTier::kAvx2), SimdTier::kScalar);
-  EXPECT_EQ(ResolveSimdTier("sse2", SimdTier::kAvx2), SimdTier::kSse2);
   EXPECT_EQ(ResolveSimdTier("avx2", SimdTier::kAvx2), SimdTier::kAvx2);
   // Override above capability: clamped, never an illegal instruction.
-  EXPECT_EQ(ResolveSimdTier("avx2", SimdTier::kSse2), SimdTier::kSse2);
   EXPECT_EQ(ResolveSimdTier("avx2", SimdTier::kScalar), SimdTier::kScalar);
-  // Absent / empty / unknown spellings fall back to detection.
+  // Absent / empty / unknown spellings fall back to detection. "sse2"
+  // named a tier that no longer exists, so it is unknown like any other.
   EXPECT_EQ(ResolveSimdTier(nullptr, SimdTier::kAvx2), SimdTier::kAvx2);
-  EXPECT_EQ(ResolveSimdTier("", SimdTier::kSse2), SimdTier::kSse2);
+  EXPECT_EQ(ResolveSimdTier("", SimdTier::kScalar), SimdTier::kScalar);
   EXPECT_EQ(ResolveSimdTier("AVX2", SimdTier::kAvx2), SimdTier::kAvx2);
   EXPECT_EQ(ResolveSimdTier("neon", SimdTier::kAvx2), SimdTier::kAvx2);
+  EXPECT_EQ(ResolveSimdTier("sse2", SimdTier::kAvx2), SimdTier::kAvx2);
+  EXPECT_EQ(ResolveSimdTier("sse2", SimdTier::kScalar), SimdTier::kScalar);
 }
 
 TEST(DominanceSimdTest, ActiveOpsMatchActiveTier) {

@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,12 @@ struct InvariantCase {
   RandomDataConfig data;
   DiscoveryOptions options;
 };
+
+// Print the label, not gtest's default byte dump: the dump holds the string's
+// heap address, which would make the test's name differ from run to run.
+std::ostream& operator<<(std::ostream& os, const InvariantCase& c) {
+  return os << c.label;
+}
 
 class InvariantTest : public ::testing::TestWithParam<InvariantCase> {
  protected:

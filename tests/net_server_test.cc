@@ -251,8 +251,6 @@ TEST(FactServerSocket, ByteIdenticalToInProcessOnMissAndHit) {
   EXPECT_EQ(StatzCounter(body, {"endpoints", "topk", "requests"}), 2u);
   EXPECT_EQ(StatzCounter(body, {"endpoints", "topk", "cache_hits"}), 1u);
   EXPECT_EQ(StatzCounter(body, {"endpoints", "topk", "errors"}), 0u);
-  // Only the cache miss walked the sorted serving bands.
-  EXPECT_EQ(StatzCounter(body, {"endpoints", "topk", "skyband_hits"}), 1u);
   // One keep-alive connection carried all four requests.
   EXPECT_EQ(StatzCounter(body, {"server", "accepted"}), 1u);
   EXPECT_EQ(StatzCounter(body, {"server", "requests"}), 4u);

@@ -9,10 +9,6 @@
 //   SITFACT_FUZZ_SEEDS    number of seeds per engine kind   (default 10)
 //   SITFACT_FUZZ_OPS      operations per seed               (default 100)
 //   SITFACT_FUZZ_SEED     run exactly this one seed (replay a CI failure)
-//   SITFACT_FUZZ_SKYBAND  1: feed a second FactService with the skyband
-//                         serving bands disabled the same mutation stream
-//                         and require byte-identical TopK/About pages
-//                         (including resume cursors) at every epoch
 //
 // A failure prints the seed; reproduce with
 //   SITFACT_FUZZ_SEED=<seed> ./workload_fuzz_test
@@ -353,42 +349,49 @@ FactFilter RandomFilter(Rng* rng, const Oracle& oracle) {
   return f;
 }
 
-void ExpectPagesEqual(const FactService::Page& a, const FactService::Page& b) {
-  ASSERT_EQ(a.epoch, b.epoch);
-  ASSERT_EQ(a.facts.size(), b.facts.size());
-  for (size_t i = 0; i < a.facts.size(); ++i) {
-    ASSERT_EQ(a.facts[i].id, b.facts[i].id) << "rank " << i;
-    ASSERT_EQ(a.facts[i].fact, b.facts[i].fact);
-    ASSERT_EQ(a.facts[i].prominence, b.facts[i].prominence);
-    ASSERT_EQ(a.facts[i].prominent, b.facts[i].prominent);
-  }
-  ASSERT_EQ(a.next.has_value(), b.next.has_value());
-  if (a.next.has_value()) {
-    ASSERT_EQ(a.next->record_id, b.next->record_id);
-    ASSERT_EQ(a.next->prominence, b.next->prominence);
-  }
-}
-
-/// The skyband acceptance differential: the index may change the cost of a
-/// page, never its bytes. Drains TopK with the same cursor stream from both
-/// services comparing every page (ids, prominences, next cursors), then an
-/// About page when the filter carries a subsumption constraint.
-void ExpectSkybandPagesIdentical(const FactService& on, const FactService& off,
-                                 size_t k, const FactFilter& filter) {
-  FactService::Snapshot a = on.Acquire();
-  FactService::Snapshot b = off.Acquire();
-  ASSERT_EQ(a.epoch(), b.epoch());
+/// The pagination oracle: drains TopK in pages of `k` with resume cursors
+/// and checks the whole walk against brute force. The concatenated pages
+/// equal Oracle::TopKIds(filter) record for record, every page holds
+/// min(k, remaining) records, every page's `next` names that page's last
+/// record, and the drain ends on a page with `next` unset. When the filter
+/// carries a subsumption constraint, an About page is checked too.
+void ExpectTopKDrainMatchesOracle(const FactService::Snapshot& snap,
+                                  const Oracle& oracle, size_t k,
+                                  const FactFilter& filter) {
+  const std::vector<uint32_t> expected = oracle.TopKIds(filter);
+  size_t drained = 0;
   std::optional<TopKCursor> cursor;
   for (;;) {
-    FactService::Page pa = a.TopK(k, filter, cursor);
-    FactService::Page pb = b.TopK(k, filter, cursor);
-    ExpectPagesEqual(pa, pb);
-    if (::testing::Test::HasFatalFailure()) return;
-    if (!pa.next.has_value()) break;
-    cursor = pa.next;
+    FactService::Page page = snap.TopK(k, filter, cursor);
+    ASSERT_EQ(page.facts.size(), std::min(k, expected.size() - drained))
+        << "page after " << drained << " records";
+    for (const FactService::FactView& view : page.facts) {
+      const Oracle::ShadowRecord& want = oracle.record(expected[drained]);
+      ASSERT_EQ(view.id, expected[drained]) << "rank " << drained;
+      ASSERT_EQ(view.tuple, want.tuple);
+      ASSERT_EQ(view.fact, want.fact);
+      ASSERT_EQ(view.prominence, want.prominence);
+      ASSERT_EQ(view.prominent, want.prominent);
+      ++drained;
+    }
+    if (!page.next.has_value()) break;
+    ASSERT_FALSE(page.facts.empty()) << "resume cursor on an empty page";
+    ASSERT_EQ(page.next->record_id, page.facts.back().id);
+    ASSERT_EQ(page.next->prominence, page.facts.back().prominence);
+    cursor = page.next;
   }
+  ASSERT_EQ(drained, expected.size());
+
   if (filter.about.has_value()) {
-    ExpectPagesEqual(a.About(*filter.about, k), b.About(*filter.about, k));
+    FactFilter about_only;
+    about_only.about = filter.about;
+    std::vector<uint32_t> want = oracle.TopKIds(about_only);
+    if (want.size() > k) want.resize(k);
+    FactService::Page page = snap.About(*filter.about, k);
+    ASSERT_EQ(page.facts.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(page.facts[i].id, want[i]) << "about rank " << i;
+    }
   }
 }
 
@@ -400,14 +403,6 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
   const double tau = 1.5 + 0.5 * static_cast<double>(seed % 4);
   Oracle oracle;
   FactService service(&engine->relation());
-  // SITFACT_FUZZ_SKYBAND=1: same mutation stream into a service with the
-  // serving bands forced off; every query op also diffs the two.
-  std::unique_ptr<FactService> bands_off;
-  if (EnvInt("SITFACT_FUZZ_SKYBAND", 0) != 0) {
-    FactService::Options off;
-    off.skyband_index = false;
-    bands_off = std::make_unique<FactService>(&engine->relation(), off);
-  }
 
   for (int op = 0; op < ops; ++op) {
     ++*executed;
@@ -419,9 +414,6 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
       ArrivalReport expected = oracle.Append(row, tau);
       ExpectReportsEqual(actual, expected, oracle.relation());
       service.OnArrival(actual);
-      if (bands_off != nullptr) {
-        bands_off->OnArrival(actual);
-      }
     } else if (dice < 60) {
       const size_t n = 2 + rng.NextBounded(5);
       std::vector<Row> rows;
@@ -433,16 +425,12 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
         ArrivalReport expected = oracle.Append(rows[i], tau);
         ExpectReportsEqual(actual[i], expected, oracle.relation());
         service.OnArrival(actual[i]);
-        if (bands_off != nullptr) bands_off->OnArrival(actual[i]);
       }
     } else if (dice < 72) {
       TupleId t = oracle.live()[rng.NextBounded(oracle.live().size())];
       ASSERT_TRUE(engine->Remove(t).ok()) << "remove " << t;
       oracle.Remove(t);
       ASSERT_TRUE(service.OnRemove(t).ok());
-      if (bands_off != nullptr) {
-        ASSERT_TRUE(bands_off->OnRemove(t).ok());
-      }
     } else if (dice < 80) {
       TupleId t = oracle.live()[rng.NextBounded(oracle.live().size())];
       Row row = RandomRow(&rng);
@@ -452,27 +440,10 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
       ArrivalReport expected = oracle.Append(row, tau);
       ExpectReportsEqual(actual_or.value(), expected, oracle.relation());
       ASSERT_TRUE(service.OnUpdate(t, actual_or.value()).ok());
-      if (bands_off != nullptr) {
-        ASSERT_TRUE(bands_off->OnUpdate(t, actual_or.value()).ok());
-      }
     } else if (dice < 90) {
       const size_t k = 1 + rng.NextBounded(12);
       FactFilter filter = RandomFilter(&rng, oracle);
-      std::vector<uint32_t> expected = oracle.TopKIds(filter);
-      if (expected.size() > k) expected.resize(k);
-      FactService::Page page = service.TopK(k, filter);
-      ASSERT_EQ(page.facts.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        const Oracle::ShadowRecord& want = oracle.record(expected[i]);
-        ASSERT_EQ(page.facts[i].id, expected[i]) << "rank " << i;
-        ASSERT_EQ(page.facts[i].tuple, want.tuple);
-        ASSERT_EQ(page.facts[i].fact, want.fact);
-        ASSERT_EQ(page.facts[i].prominence, want.prominence);
-        ASSERT_EQ(page.facts[i].prominent, want.prominent);
-      }
-      if (bands_off != nullptr) {
-        ExpectSkybandPagesIdentical(service, *bands_off, k, filter);
-      }
+      ExpectTopKDrainMatchesOracle(service.Acquire(), oracle, k, filter);
     } else if (dice < 95) {
       const TupleId t = static_cast<TupleId>(
           rng.NextBounded(oracle.relation().size() + 2));
