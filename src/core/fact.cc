@@ -10,12 +10,12 @@ void CanonicalizeFacts(std::vector<SkylineFact>* facts) {
   std::sort(facts->begin(), facts->end());
 }
 
-std::string SubspaceToString(const Relation& r, MeasureMask m) {
+std::string SubspaceToString(const Schema& schema, MeasureMask m) {
   std::string out = "{";
   bool first = true;
   ForEachBit(m, [&](int j) {
     if (!first) out += ", ";
-    out += r.schema().measure(j).name;
+    out += schema.measure(j).name;
     first = false;
   });
   out += "}";
@@ -24,7 +24,7 @@ std::string SubspaceToString(const Relation& r, MeasureMask m) {
 
 std::string FactToString(const Relation& r, const SkylineFact& fact) {
   return "(" + fact.constraint.ToPredicateString(r) + ") x " +
-         SubspaceToString(r, fact.subspace);
+         SubspaceToString(r.schema(), fact.subspace);
 }
 
 }  // namespace sitfact

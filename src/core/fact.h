@@ -42,7 +42,7 @@ void CanonicalizeFacts(std::vector<SkylineFact>* facts);
 std::string FactToString(const Relation& r, const SkylineFact& fact);
 
 /// Renders the measure subspace as "{points, rebounds}".
-std::string SubspaceToString(const Relation& r, MeasureMask m);
+std::string SubspaceToString(const Schema& schema, MeasureMask m);
 
 }  // namespace sitfact
 

@@ -1,5 +1,6 @@
 #include "core/narrator.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "common/bits.h"
@@ -8,14 +9,25 @@ namespace sitfact {
 
 namespace {
 
-std::string FormatNumber(double v) {
+// Readers render a narration per served fact, so the number formatting
+// avoids printf where std::to_chars prints the same characters.
+
+void AppendInt(std::string* out, uint64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Measures: integers without decimals, everything else with two.
+void AppendMeasure(std::string* out, double v) {
   char buf[32];
   if (v == static_cast<int64_t>(v)) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                   static_cast<int64_t>(v))
+                         .ptr);
   } else {
     std::snprintf(buf, sizeof(buf), "%.2f", v);
+    out->append(buf);
   }
-  return buf;
 }
 
 }  // namespace
@@ -24,10 +36,16 @@ FactNarrator::FactNarrator(const Relation* relation, int entity_dim)
     : relation_(relation), entity_dim_(entity_dim) {}
 
 std::string FactNarrator::Narrate(TupleId t, const RankedFact& fact) const {
-  const Relation& r = *relation_;
+  return NarrateRow(relation_->schema(), entity_dim_, relation_->RowOf(t),
+                    fact);
+}
+
+std::string FactNarrator::NarrateRow(const Schema& schema, int entity_dim,
+                                     const Row& row, const RankedFact& fact) {
   std::string out;
-  if (entity_dim_ >= 0) {
-    out += r.DimString(t, entity_dim_);
+  out.reserve(256);
+  if (entity_dim >= 0) {
+    out += row.dimensions[entity_dim];
     out += " ";
   } else {
     out += "A new tuple ";
@@ -36,23 +54,36 @@ std::string FactNarrator::Narrate(TupleId t, const RankedFact& fact) const {
   bool first = true;
   ForEachBit(fact.fact.subspace, [&](int j) {
     if (!first) out += ", ";
-    out += r.schema().measure(j).name;
+    out += schema.measure(j).name;
     out += "=";
-    out += FormatNumber(r.measure(t, j));
+    AppendMeasure(&out, row.measures[j]);
     first = false;
   });
   out += ") is undominated on ";
-  out += SubspaceToString(r, fact.fact.subspace);
+  out += SubspaceToString(schema, fact.fact.subspace);
   out += " among the ";
-  out += std::to_string(fact.context_size);
+  AppendInt(&out, fact.context_size);
   out += " tuples with ";
-  out += fact.fact.constraint.ToPredicateString(r);
+  // Constraint::ToPredicateString's rendering, with the values read from
+  // the row instead of the dictionaries.
+  const DimMask bound = fact.fact.constraint.bound_mask();
+  if (bound == 0) out += "(no constraint)";
+  first = true;
+  ForEachBit(bound, [&](int d) {
+    if (!first) out += " ∧ ";
+    out += schema.dimension(d).name;
+    out += "=";
+    out += row.dimensions[d];
+    first = false;
+  });
   out += " — one of only ";
-  out += std::to_string(fact.skyline_size);
+  AppendInt(&out, fact.skyline_size);
   out += " such tuples (prominence ";
+  // A prominence is at most 2^64, so its one-decimal form always fits.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", fact.prominence);
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), fact.prominence,
+                                std::chars_format::fixed, 1)
+                      .ptr);
   out += ").";
   return out;
 }

@@ -25,6 +25,13 @@ class FactNarrator {
   /// One-sentence narration of a ranked fact for tuple `t`.
   std::string Narrate(TupleId t, const RankedFact& fact) const;
 
+  /// The same sentence rendered from a copy of the tuple's row alone (see
+  /// Relation::RowOf), so it never reads a live Relation: the fact index
+  /// renders stored facts on read with it. `fact` must bind the row's own
+  /// dimension values, as every fact discovered for a tuple does.
+  static std::string NarrateRow(const Schema& schema, int entity_dim,
+                                const Row& row, const RankedFact& fact);
+
   /// Compact "(C, M) prominence=p" line for logs.
   std::string Summarize(const RankedFact& fact) const;
 

@@ -4,7 +4,9 @@
 #include <bit>
 #include <utility>
 
+#include "common/bits.h"
 #include "common/logging.h"
+#include "core/narrator.h"
 
 namespace sitfact {
 
@@ -30,6 +32,13 @@ bool TopKBefore(double pa, uint32_t ia, double pb, uint32_t ib) {
   return ia < ib;
 }
 
+/// True when `fact` binds the arrival tuple's own values — what lets a
+/// FactRecord keep only C's bound mask.
+[[maybe_unused]] bool BindsArrival(const SkylineFact& fact,
+                                   const Constraint& arrival) {
+  return fact.constraint == arrival.Restrict(fact.constraint.bound_mask());
+}
+
 /// The record-id list for `key`, appended empty on first use.
 CowVec<uint32_t>& ListFor(
     std::vector<std::pair<uint32_t, CowVec<uint32_t>>>* lists, uint32_t key) {
@@ -42,25 +51,42 @@ CowVec<uint32_t>& ListFor(
 
 }  // namespace
 
-bool FactFilter::Matches(const FactRecord& r) const {
+bool FactFilter::Matches(const FactRecord& r,
+                         const Constraint& arrival) const {
   if (!include_dead && !r.live) return false;
   if (tuple.has_value() && r.tuple != *tuple) return false;
-  if (bound_mask.has_value() && r.fact.constraint.bound_mask() != *bound_mask) {
-    return false;
-  }
-  if (subspace.has_value() && r.fact.subspace != *subspace) return false;
-  if (about.has_value() && !r.fact.constraint.SubsumedByOrEqual(*about)) {
-    return false;
-  }
+  if (bound_mask.has_value() && r.bound_mask != *bound_mask) return false;
+  if (subspace.has_value() && r.subspace != *subspace) return false;
   if (r.arrival_seq < min_arrival || r.arrival_seq > max_arrival) return false;
   if (r.prominence < min_prominence) return false;
   if (prominent_only && !r.prominent) return false;
+  // The record's constraint is `arrival` restricted to r.bound_mask: it
+  // binds every attribute `about` does exactly when the masks nest, and
+  // then with the arrival's values.
+  if (about.has_value() &&
+      !(IsSubsetOf(about->bound_mask(), r.bound_mask) &&
+        arrival.SubsumedByOrEqual(*about))) {
+    return false;
+  }
   return true;
 }
 
-const std::string& FactIndexSnapshot::narration(uint32_t id) const {
-  static const std::string kEmpty;
-  return id < narrations_.size() ? narrations_[id] : kEmpty;
+SkylineFact FactIndexSnapshot::fact(uint32_t id) const {
+  const FactRecord& rec = records_[id];
+  return SkylineFact{
+      arrivals_[rec.arrival_seq].constraint.Restrict(rec.bound_mask),
+      rec.subspace};
+}
+
+std::string FactIndexSnapshot::narration(uint32_t id) const {
+  const FactRecord& rec = records_[id];
+  RankedFact ranked;
+  ranked.fact = fact(id);
+  ranked.context_size = rec.context_size;
+  ranked.skyline_size = rec.skyline_size;
+  ranked.prominence = rec.prominence;
+  return FactNarrator::NarrateRow(*schema_, entity_dim_,
+                                  *arrivals_[rec.arrival_seq].row, ranked);
 }
 
 uint32_t FactIndexSnapshot::ArrivalOfTuple(TupleId t) const {
@@ -108,7 +134,9 @@ TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
                         rec.prominence, id)) {
           continue;
         }
-        if (filter.Matches(rec)) candidates.push_back(id);
+        if (filter.Matches(rec, arrivals_[rec.arrival_seq].constraint)) {
+          candidates.push_back(id);
+        }
       }
     }
   } else {
@@ -131,7 +159,9 @@ TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
                         rec.prominence, id)) {
           continue;  // at or before the cursor position; already served
         }
-        if (filter.Matches(rec)) candidates.push_back(id);
+        if (filter.Matches(rec, arrivals_[rec.arrival_seq].constraint)) {
+          candidates.push_back(id);
+        }
       }
       if (candidates.size() >= k && b > 0) {
         stopped_early = true;
@@ -164,7 +194,7 @@ TopKResult FactIndexSnapshot::FactsForTuple(
   for (uint32_t i = 0; i < entry.record_count; ++i) {
     const uint32_t id = entry.record_begin + i;
     if (cursor.has_value() && id <= cursor->record_id) continue;
-    if (!filter.Matches(records_[id])) continue;
+    if (!filter.Matches(records_[id], entry.constraint)) continue;
     if (out.record_ids.size() == k) {
       const uint32_t last = out.record_ids.back();
       out.next = TopKCursor{records_[last].prominence, last};
@@ -193,7 +223,7 @@ TopKResult FactIndexSnapshot::FactsInWindow(
     for (uint32_t i = 0; i < entry.record_count; ++i) {
       const uint32_t id = entry.record_begin + i;
       if (cursor.has_value() && id <= cursor->record_id) continue;
-      if (!filter.Matches(records_[id])) continue;
+      if (!filter.Matches(records_[id], entry.constraint)) continue;
       if (out.record_ids.size() == k) {
         const uint32_t last = out.record_ids.back();
         out.next = TopKCursor{records_[last].prominence, last};
@@ -206,11 +236,10 @@ TopKResult FactIndexSnapshot::FactsInWindow(
 }
 
 FactIndex::FactIndex(const Relation* relation, Options options)
-    : relation_(relation),
-      options_(options),
-      narrator_(relation, options.entity_dim) {
+    : relation_(relation), options_(options) {
   SITFACT_CHECK(relation != nullptr);
   SITFACT_CHECK(options_.publish_every >= 1);
+  work_.entity_dim_ = options_.entity_dim;
   Publish();  // Acquire() is never null, even before the first arrival
 }
 
@@ -219,8 +248,9 @@ void FactIndex::AddRecord(const ArrivalReport& report, const SkylineFact& fact,
   const auto id = static_cast<uint32_t>(work_.records_.size());
   FactRecord rec;
   rec.tuple = report.tuple;
+  rec.bound_mask = fact.constraint.bound_mask();
   rec.arrival_seq = arrival_seq;
-  rec.fact = fact;
+  rec.subspace = fact.subspace;
   if (ranked != nullptr) {
     rec.context_size = ranked->context_size;
     rec.skyline_size = ranked->skyline_size;
@@ -235,33 +265,33 @@ void FactIndex::AddRecord(const ArrivalReport& report, const SkylineFact& fact,
   }
 
   work_.by_prominence_[ProminenceBucket(rec.prominence)].PushBack(id);
-  ListFor(&work_.by_bound_, fact.constraint.bound_mask()).PushBack(id);
-  ListFor(&work_.by_subspace_, fact.subspace).PushBack(id);
-
-  if (options_.store_narrations) {
-    RankedFact rf;
-    if (ranked != nullptr) {
-      rf = *ranked;
-    } else {
-      rf.fact = fact;
-    }
-    work_.narrations_.PushBack(narrator_.Narrate(report.tuple, rf));
-  }
-  work_.records_.PushBack(std::move(rec));
+  ListFor(&work_.by_bound_, rec.bound_mask).PushBack(id);
+  ListFor(&work_.by_subspace_, rec.subspace).PushBack(id);
+  work_.records_.PushBack(rec);
 }
 
 void FactIndex::ApplyArrival(const ArrivalReport& report) {
   const uint64_t arrival_seq = work_.arrivals_.size();
-  const auto begin = static_cast<uint32_t>(work_.records_.size());
+  if (work_.schema_ == nullptr) {
+    work_.schema_ = std::make_shared<const Schema>(relation_->schema());
+  }
+  FactIndexSnapshot::ArrivalEntry entry;
+  entry.tuple = report.tuple;
+  entry.record_begin = static_cast<uint32_t>(work_.records_.size());
+  entry.constraint = Constraint::ForTuple(
+      *relation_, report.tuple, FullMask(work_.schema_->num_dimensions()));
+  entry.row = std::make_shared<const Row>(relation_->RowOf(report.tuple));
 
   // Ranked order when the engine ranked (prominence descending — the order
   // pagination serves ties in); canonical fact order otherwise.
   if (!report.ranked.empty()) {
     for (const RankedFact& rf : report.ranked) {
+      SITFACT_DCHECK(BindsArrival(rf.fact, entry.constraint));
       AddRecord(report, rf.fact, &rf, arrival_seq);
     }
   } else {
     for (const SkylineFact& fact : report.facts) {
+      SITFACT_DCHECK(BindsArrival(fact, entry.constraint));
       AddRecord(report, fact, nullptr, arrival_seq);
     }
   }
@@ -291,11 +321,9 @@ void FactIndex::ApplyArrival(const ArrivalReport& report) {
         static_cast<uint32_t>(arrival_seq);
   }
 
-  FactIndexSnapshot::ArrivalEntry entry;
-  entry.tuple = report.tuple;
-  entry.record_begin = begin;
-  entry.record_count = static_cast<uint32_t>(work_.records_.size()) - begin;
-  work_.arrivals_.PushBack(entry);
+  entry.record_count =
+      static_cast<uint32_t>(work_.records_.size()) - entry.record_begin;
+  work_.arrivals_.PushBack(std::move(entry));
 
   ++work_.epoch_;
   MaybePublish();
@@ -339,7 +367,6 @@ void FactIndex::MaybePublish() {
 
 void FactIndex::Publish() {
   work_.records_.Seal();
-  work_.narrations_.Seal();
   work_.arrivals_.Seal();
   work_.tuple_to_arrival_.Seal();
   for (auto& bucket : work_.by_prominence_) bucket.Seal();

@@ -14,7 +14,6 @@
 #include "common/types.h"
 #include "core/engine.h"
 #include "core/fact.h"
-#include "core/narrator.h"
 #include "lattice/constraint.h"
 #include "relation/relation.h"
 
@@ -99,14 +98,19 @@ class CowVec {
 /// ArrivalReports, so prominence is "as of the arrival that minted the
 /// fact" — exactly what the engine reported, not a value that silently
 /// drifts as later tuples change the denominators.
+///
+/// Every fact of an arrival binds the arrival tuple's own values, so a
+/// record keeps only C's bound mask: C is the arrival's all-bound
+/// constraint restricted to it (FactIndexSnapshot::fact).
 struct FactRecord {
   TupleId tuple = 0;
+  DimMask bound_mask = 0;      // C's bound attributes
   /// Position of the minting arrival in the ingestion stream (0-based).
   uint64_t arrival_seq = 0;
-  SkylineFact fact;
   uint64_t context_size = 0;   // |σ_C(R)| at arrival
   uint64_t skyline_size = 0;   // |λ_M(σ_C(R))| at arrival
   double prominence = 0.0;     // context_size / skyline_size, 0 when unranked
+  MeasureMask subspace = 0;    // M
   /// Member of the arrival's prominent selection (top prominence >= τ).
   bool prominent = false;
   /// False when the engine ran with ranking off; the numbers above are 0.
@@ -114,6 +118,7 @@ struct FactRecord {
   /// Cleared when the owning tuple is removed (or updated away).
   bool live = true;
 };
+static_assert(sizeof(FactRecord) == 48, "FactRecord layout grew");
 
 /// Conjunctive filter over fact records; default-constructed matches every
 /// live record.
@@ -137,7 +142,9 @@ struct FactFilter {
   /// Also match records of removed tuples.
   bool include_dead = false;
 
-  bool Matches(const FactRecord& r) const;
+  /// `arrival` is the all-bound constraint of the record's arrival
+  /// (FactIndexSnapshot::ArrivalEntry::constraint); only `about` reads it.
+  bool Matches(const FactRecord& r, const Constraint& arrival) const;
 };
 
 /// Resumable position within the TopK order (prominence descending, record
@@ -166,12 +173,17 @@ struct TopKResult {
 class FactIndexSnapshot {
  public:
   /// Per-arrival directory entry: the contiguous record run the arrival
-  /// appended.
+  /// appended, and what its records share.
   struct ArrivalEntry {
     TupleId tuple = 0;
     uint32_t record_begin = 0;
     uint32_t record_count = 0;
     bool live = true;
+    /// The tuple's values on every dimension; each record's constraint is
+    /// its restriction to the record's bound mask.
+    Constraint constraint;
+    /// Immutable copy of the tuple's row, which narrations render from.
+    std::shared_ptr<const Row> row;
   };
 
   static constexpr uint32_t kNoArrival =
@@ -186,9 +198,11 @@ class FactIndexSnapshot {
   size_t fact_count() const { return records_.size(); }
 
   const FactRecord& record(uint32_t id) const { return records_[id]; }
-  /// Pre-rendered narration for record `id`; empty when narration storage
-  /// was off.
-  const std::string& narration(uint32_t id) const;
+  /// The (C, M) pair of record `id`.
+  SkylineFact fact(uint32_t id) const;
+  /// News-style sentence for record `id` (FactNarrator), rendered from the
+  /// arrival's row copy; never reads the live Relation.
+  std::string narration(uint32_t id) const;
 
   /// Top-k by at-arrival prominence (descending; ties broken by record id
   /// ascending, i.e. arrival order). Served from the log2-bucketed
@@ -224,9 +238,11 @@ class FactIndexSnapshot {
   friend class FactIndex;
 
   CowVec<FactRecord> records_;
-  /// Parallel to records_; empty strings when narration storage is off.
-  CowVec<std::string> narrations_;
   CowVec<ArrivalEntry> arrivals_;
+  /// Names for narrations, copied from the relation at the first arrival.
+  std::shared_ptr<const Schema> schema_;
+  /// Dimension naming the acting entity in narrations; -1 for none.
+  int entity_dim_ = -1;
   /// TupleId -> arrival seq (kNoArrival for ids the index never saw).
   CowVec<uint32_t> tuple_to_arrival_;
   /// Record ids bucketed by floor(log2(prominence)) + 1 (bucket 0 holds
@@ -261,16 +277,12 @@ class FactIndex {
     /// Publish a fresh epoch every N applied mutations (>= 1). Readers see
     /// at most N-1 mutations of lag; 1 publishes after every op.
     uint64_t publish_every = 1;
-    /// Pre-render a narration per record at apply time (the writer thread
-    /// owns the Relation, so rendering later from reader threads would race
-    /// ingestion; storing the string is what makes Explain snapshot-safe).
-    bool store_narrations = true;
     /// Dimension naming the acting entity for narration; -1 for none.
     int entity_dim = -1;
   };
 
   /// `relation` must outlive the index and is read only from the writer
-  /// thread (narration rendering at apply time).
+  /// thread (each arrival copies its tuple's row out of it).
   FactIndex(const Relation* relation, Options options);
   explicit FactIndex(const Relation* relation)
       : FactIndex(relation, Options()) {}
@@ -309,7 +321,6 @@ class FactIndex {
 
   const Relation* relation_;
   Options options_;
-  FactNarrator narrator_;
 
   /// Writer-private builder state; published copies share its chunks.
   FactIndexSnapshot work_;

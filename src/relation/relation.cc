@@ -80,6 +80,19 @@ Relation::MeasurePartition Relation::Partition(TupleId t,
   return p;
 }
 
+Row Relation::RowOf(TupleId t) const {
+  Row row;
+  row.dimensions.reserve(schema_.num_dimensions());
+  for (int d = 0; d < schema_.num_dimensions(); ++d) {
+    row.dimensions.push_back(DimString(t, d));
+  }
+  row.measures.reserve(schema_.num_measures());
+  for (int j = 0; j < schema_.num_measures(); ++j) {
+    row.measures.push_back(measure(t, j));
+  }
+  return row;
+}
+
 size_t Relation::ApproxMemoryBytes() const {
   size_t bytes = 0;
   for (const auto& c : dim_cols_) bytes += c.capacity() * sizeof(ValueId);

@@ -85,6 +85,10 @@ class Relation {
     return dicts_[d].Decode(dim(t, d));
   }
 
+  /// Tuple `t` decoded back to its input form: dimension strings and raw
+  /// measures, in schema order.
+  Row RowOf(TupleId t) const;
+
   Dictionary& dictionary(int d) { return dicts_[d]; }
   const Dictionary& dictionary(int d) const { return dicts_[d]; }
 

@@ -1,6 +1,5 @@
 #include "service/fact_service.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,7 +13,6 @@ FactIndex::Options FactService::IndexOptions(const Relation* relation,
                                              const Options& options) {
   FactIndex::Options out;
   out.publish_every = options.publish_every;
-  out.store_narrations = options.store_narrations;
   out.entity_dim = options.entity.empty()
                        ? -1
                        : relation->schema().DimensionIndex(options.entity);
@@ -43,7 +41,7 @@ FactService::FactView FactService::Snapshot::View(uint32_t id) const {
   view.id = id;
   view.tuple = rec.tuple;
   view.arrival_seq = rec.arrival_seq;
-  view.fact = rec.fact;
+  view.fact = state_->fact(id);
   view.context_size = rec.context_size;
   view.skyline_size = rec.skyline_size;
   view.prominence = rec.prominence;
@@ -102,23 +100,6 @@ FactService::Page FactService::Snapshot::About(const Constraint& about,
   FactFilter filter;
   filter.about = about;
   return TopK(k, filter);
-}
-
-std::string FactService::Snapshot::Explain(const FactView& view) const {
-  if (!view.narration.empty()) return view.narration;
-  // Narration storage was off: a numeric summary from the snapshot alone
-  // (decoding the constraint would need the live Relation's dictionaries,
-  // which ingestion is mutating).
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "tuple %llu: undominated fact (bound mask 0x%x, subspace "
-                "0x%x), prominence %.2f (|ctx|=%llu, |sky|=%llu)",
-                static_cast<unsigned long long>(view.tuple),
-                view.fact.constraint.bound_mask(), view.fact.subspace,
-                view.prominence,
-                static_cast<unsigned long long>(view.context_size),
-                static_cast<unsigned long long>(view.skyline_size));
-  return buf;
 }
 
 StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(

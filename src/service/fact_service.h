@@ -33,8 +33,6 @@ class FactService {
   struct Options {
     /// Publish a fresh epoch every N mutations (1 = after every op).
     uint64_t publish_every = 1;
-    /// Pre-render narrations at apply time so Explain() is snapshot-safe.
-    bool store_narrations = true;
     /// Dimension naming the acting entity for narrations (e.g. "player");
     /// empty picks no subject.
     std::string entity;
@@ -81,7 +79,7 @@ class FactService {
     bool prominent = false;
     bool ranked = false;
     bool live = true;
-    std::string narration;  ///< empty when narration storage is off
+    std::string narration;  ///< rendered when the view is copied out
   };
 
   /// One page of query results plus the epoch it was served from.
@@ -130,9 +128,10 @@ class FactService {
     /// out), or nullopt when the id does not exist at this epoch. O(1).
     std::optional<FactView> Fact(uint32_t id) const;
 
-    /// News-style sentence for a fact (the stored narration when available,
-    /// a numeric summary otherwise). Never touches the live Relation.
-    std::string Explain(const FactView& view) const;
+    /// News-style sentence for a fact: `view.narration`, which every view
+    /// this snapshot hands out renders from its arrival's row copy. Never
+    /// touches the live Relation.
+    std::string Explain(const FactView& view) const { return view.narration; }
 
     /// Maintenance counters of the retired TopK-sorted serving lists. The
     /// index keeps its lists in record-id order, so both are always zero;

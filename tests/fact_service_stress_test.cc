@@ -3,7 +3,8 @@
 // thread. Runs under the TSan preset in CI (test names are matched by the
 // `FactService` regex there). Every acquired snapshot is checked for
 // internal consistency — a torn epoch (records without their directory
-// entry, a dangling index id, a page out of order) fails the test.
+// entry, a dangling index id, a page out of order) fails the test — and
+// readers render narrations while ingestion appends to the relation.
 
 #include <atomic>
 #include <memory>
@@ -57,6 +58,10 @@ void CheckSnapshotConsistency(const FactService::Snapshot& snap) {
   for (;;) {
     FactService::Page page = snap.TopK(17, FactFilter(), cursor);
     for (const auto& view : page.facts) {
+      // Narrations render on read from the snapshot's row copies; a second
+      // rendering of the same record must give the same text.
+      ASSERT_FALSE(view.narration.empty());
+      ASSERT_EQ(snap.Explain(view), snap.Fact(view.id)->narration);
       if (!first) {
         ASSERT_TRUE(last_prom > view.prominence ||
                     (last_prom == view.prominence && last_id < view.id))
@@ -100,6 +105,7 @@ TEST(FactServiceStress, ReadersSeeOnlyConsistentEpochsDuringIngestion) {
   auto engine = MakeEngine(&rel, 2.0);
   FactService::Options service_options;
   service_options.publish_every = 3;  // readers see batched epochs
+  service_options.entity = "d0";
   FactService service(&rel, service_options);
 
   FactFeed::Options options;
@@ -141,7 +147,9 @@ TEST(FactServiceStress, ReadersSeeOnlyConsistentEpochsDuringIngestion) {
   FactService::Snapshot final_snap = service.Acquire();
   Relation rel2(data.schema());
   auto engine2 = MakeEngine(&rel2, 2.0);
-  FactService sync(&rel2);
+  FactService::Options sync_options;
+  sync_options.entity = "d0";
+  FactService sync(&rel2, sync_options);
   for (const Row& row : data.rows()) sync.OnArrival(engine2->Append(row));
   FactService::Snapshot expect = sync.Acquire();
   ASSERT_EQ(final_snap.fact_count(), expect.fact_count());
@@ -153,6 +161,7 @@ TEST(FactServiceStress, ReadersSeeOnlyConsistentEpochsDuringIngestion) {
     ASSERT_EQ(a.facts[i].id, b.facts[i].id);
     ASSERT_EQ(a.facts[i].fact, b.facts[i].fact);
     ASSERT_EQ(a.facts[i].prominence, b.facts[i].prominence);
+    ASSERT_EQ(a.facts[i].narration, b.facts[i].narration);
   }
 }
 
@@ -186,6 +195,8 @@ TEST(FactServiceStress, PinnedSnapshotSurvivesHeavyChurn) {
         for (size_t j = 0; j < again.facts.size(); ++j) {
           ASSERT_EQ(again.facts[j].id, pinned_top.facts[j].id);
           ASSERT_EQ(again.facts[j].live, pinned_top.facts[j].live);
+          ASSERT_EQ(pinned.Explain(again.facts[j]),
+                    pinned_top.facts[j].narration);
         }
       }
     });

@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/narrator.h"
+#include "exec/sharded_engine.h"
 #include "persist/durable_engine.h"
 #include "query/fact_index.h"
 #include "service/fact_feed.h"
@@ -26,12 +29,14 @@ namespace {
 using testing_util::RandomDataConfig;
 using testing_util::RandomDataset;
 
-std::unique_ptr<DiscoveryEngine> MakeEngine(Relation* relation,
-                                            double tau = 2.0) {
-  auto disc_or = DiscoveryEngine::CreateDiscoverer("STopDown", relation, {});
+std::unique_ptr<DiscoveryEngine> MakeEngine(
+    Relation* relation, double tau = 2.0, bool rank_facts = true,
+    const std::string& algorithm = "STopDown") {
+  auto disc_or = DiscoveryEngine::CreateDiscoverer(algorithm, relation, {});
   EXPECT_TRUE(disc_or.ok());
   DiscoveryEngine::Config config;
   config.tau = tau;
+  config.rank_facts = rank_facts;
   return std::make_unique<DiscoveryEngine>(relation,
                                            std::move(disc_or).value(),
                                            config);
@@ -87,15 +92,7 @@ class Model {
   std::vector<uint32_t> TopKIds(const FactFilter& filter) const {
     std::vector<uint32_t> ids;
     for (uint32_t i = 0; i < records_.size(); ++i) {
-      FactRecord rec;
-      rec.tuple = records_[i].tuple;
-      rec.arrival_seq = records_[i].arrival_seq;
-      rec.fact = records_[i].fact;
-      rec.prominence = records_[i].prominence;
-      rec.prominent = records_[i].prominent;
-      rec.live = records_[i].live;
-      rec.ranked = true;
-      if (filter.Matches(rec)) ids.push_back(i);
+      if (Matches(filter, records_[i])) ids.push_back(i);
     }
     std::stable_sort(ids.begin(), ids.end(), [this](uint32_t a, uint32_t b) {
       if (records_[a].prominence != records_[b].prominence) {
@@ -110,6 +107,29 @@ class Model {
   const ModelRecord& at(size_t i) const { return records_[i]; }
 
  private:
+  /// The filter's contract, checked on the model's own full facts rather
+  /// than through FactFilter::Matches, the code under test.
+  static bool Matches(const FactFilter& f, const ModelRecord& r) {
+    if (!f.include_dead && !r.live) return false;
+    if (f.tuple.has_value() && r.tuple != *f.tuple) return false;
+    if (f.bound_mask.has_value() &&
+        r.fact.constraint.bound_mask() != *f.bound_mask) {
+      return false;
+    }
+    if (f.subspace.has_value() && r.fact.subspace != *f.subspace) {
+      return false;
+    }
+    if (f.about.has_value() &&
+        !r.fact.constraint.SubsumedByOrEqual(*f.about)) {
+      return false;
+    }
+    if (r.arrival_seq < f.min_arrival || r.arrival_seq > f.max_arrival) {
+      return false;
+    }
+    if (r.prominence < f.min_prominence) return false;
+    return !f.prominent_only || r.prominent;
+  }
+
   std::vector<ModelRecord> records_;
   uint64_t arrivals_ = 0;
 };
@@ -251,6 +271,10 @@ TEST(FactIndex, FiltersMatchNaiveModel) {
     service.OnArrival(report);
     model.OnArrival(report);
   }
+  // One dead tuple, so liveness is part of what the filters decide.
+  ASSERT_TRUE(engine->Remove(42).ok());
+  ASSERT_TRUE(service.OnRemove(42).ok());
+  model.OnRemove(42);
   FactService::Snapshot snap = service.Acquire();
 
   std::vector<FactFilter> filters;
@@ -281,6 +305,16 @@ TEST(FactIndex, FiltersMatchNaiveModel) {
     f.about = Constraint::ForTuple(rel, 10, 0b101);
     f.subspace = 0b10;
     f.min_prominence = 2.0;
+    filters.push_back(f);
+    f = FactFilter();
+    f.include_dead = true;
+    filters.push_back(f);
+    f.tuple = 42;
+    filters.push_back(f);
+    f = FactFilter();
+    f.about = Constraint::ForTuple(rel, 42, 0b011);
+    f.bound_mask = 0b011;
+    f.include_dead = true;
     filters.push_back(f);
   }
   for (size_t fi = 0; fi < filters.size(); ++fi) {
@@ -435,40 +469,164 @@ TEST(FactIndex, PublishEveryBatchesEpochsAndFlushForces) {
   EXPECT_EQ(snap.arrivals(), 25u);
 }
 
-TEST(FactIndex, NarrationsAreStoredAndExplainFallsBack) {
+/// The facts of `report` in the order the index stores them: ranked when
+/// the engine ranked, canonical otherwise (unranked facts carry zeros).
+std::vector<RankedFact> ReportOrder(const ArrivalReport& report) {
+  if (!report.ranked.empty()) return report.ranked;
+  std::vector<RankedFact> out;
+  for (const SkylineFact& fact : report.facts) {
+    RankedFact rf;
+    rf.fact = fact;
+    out.push_back(rf);
+  }
+  return out;
+}
+
+TEST(FactIndex, NarrationsRenderOnReadFromTheArrivalsRow) {
   Dataset data = TestData(40, 17);
-  Relation rel(data.schema());
-  auto engine = MakeEngine(&rel);
+  // Fractional values exercise the two-decimal measure rendering.
+  for (Row& row : data.mutable_rows()) row.measures[0] += 0.25;
 
-  FactService::Options with;
-  with.entity = "d0";
-  FactService narrated(&rel, with);
-  FactService::Options without;
-  without.store_narrations = false;
-  FactService bare(&rel, without);
+  struct Leg {
+    const char* name;
+    std::string entity;
+    bool rank_facts;
+  };
+  for (const Leg& leg : {Leg{"entity", "d0", true}, Leg{"no entity", "", true},
+                         Leg{"unranked", "d1", false}}) {
+    SCOPED_TRACE(leg.name);
+    auto rel = std::make_unique<Relation>(data.schema());
+    auto engine = MakeEngine(rel.get(), 2.0, leg.rank_facts);
+    FactService::Options options;
+    options.entity = leg.entity;
+    auto service = std::make_unique<FactService>(rel.get(), options);
+    const FactNarrator narrator(
+        rel.get(),
+        leg.entity.empty() ? -1 : rel->schema().DimensionIndex(leg.entity));
 
-  for (const Row& row : data.rows()) {
-    ArrivalReport report = engine->Append(row);
-    narrated.OnArrival(report);
-    bare.OnArrival(report);
+    // The sentences FactNarrator renders while each arrival is current.
+    std::vector<std::string> expected;
+    for (const Row& row : data.rows()) {
+      const ArrivalReport report = engine->Append(row);
+      service->OnArrival(report);
+      if (!report.facts.empty()) {
+        EXPECT_EQ(report.ranked.empty(), !leg.rank_facts);
+      }
+      for (const RankedFact& rf : ReportOrder(report)) {
+        expected.push_back(narrator.Narrate(report.tuple, rf));
+      }
+    }
+    const FactService::Snapshot pinned = service->Acquire();
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(pinned.fact_count(), expected.size());
+    for (uint32_t id = 0; id < expected.size(); ++id) {
+      const std::optional<FactService::FactView> view = pinned.Fact(id);
+      ASSERT_TRUE(view.has_value());
+      ASSERT_EQ(view->narration, expected[id]) << "record " << id;
+      ASSERT_EQ(pinned.Explain(*view), view->narration);
+    }
+
+    // 100 more arrivals, each adding dimension values the dictionaries have
+    // never seen, then the whole stack torn down: the pinned epoch still
+    // renders byte-identical text, because it reads only its row copies.
+    for (int i = 0; i < 100; ++i) {
+      Row row = data.rows()[i % data.rows().size()];
+      for (std::string& v : row.dimensions) v += "_new" + std::to_string(i);
+      service->OnArrival(engine->Append(row));
+    }
+    EXPECT_EQ(service->Acquire().arrivals(), data.rows().size() + 100);
+    service.reset();
+    engine.reset();
+    rel.reset();
+    for (uint32_t id = 0; id < expected.size(); ++id) {
+      ASSERT_EQ(pinned.Fact(id)->narration, expected[id]) << "record " << id;
+    }
+    for (const FactService::FactView& view : pinned.TopK(10).facts) {
+      EXPECT_EQ(view.narration, expected[view.id]);
+    }
   }
+}
 
-  FactService::Snapshot n = narrated.Acquire();
-  FactService::Page page = n.TopK(5);
-  ASSERT_FALSE(page.facts.empty());
-  for (const auto& view : page.facts) {
-    EXPECT_FALSE(view.narration.empty());
-    EXPECT_EQ(n.Explain(view), view.narration);
-    // The entity dimension's value leads the sentence.
-    EXPECT_EQ(view.narration.rfind(rel.DimString(view.tuple, 0), 0), 0u);
+/// Every record's FactView::fact equals its engine report's fact, record for
+/// record in report order — the invariant the numeric FactRecord relies on
+/// (a fact binds its arrival tuple's own values).
+void ExpectViewsMatchReports(const FactService& service,
+                             const std::vector<ArrivalReport>& reports) {
+  const FactService::Snapshot snap = service.Acquire();
+  ASSERT_EQ(snap.arrivals(), reports.size());
+  size_t facts = 0;
+  for (const ArrivalReport& report : reports) {
+    const std::vector<RankedFact> want = ReportOrder(report);
+    const std::vector<FactService::FactView> got =
+        AllForTuple(snap, report.tuple);
+    ASSERT_EQ(got.size(), want.size()) << "tuple " << report.tuple;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].fact, want[i].fact)
+          << "tuple " << report.tuple << " record " << i;
+    }
+    facts += got.size();
   }
+  EXPECT_EQ(snap.fact_count(), facts);
+  EXPECT_GT(facts, 0u);
+}
 
-  FactService::Snapshot b = bare.Acquire();
-  FactService::Page bare_page = b.TopK(5);
-  ASSERT_FALSE(bare_page.facts.empty());
-  for (const auto& view : bare_page.facts) {
-    EXPECT_TRUE(view.narration.empty());
-    EXPECT_NE(b.Explain(view), "");  // numeric fallback
+TEST(FactIndex, ViewFactsEqualReportFactsAcrossEngines) {
+  Dataset data = TestData(80, 37);
+  for (const std::string algorithm : {"STopDown", "SBottomUp"}) {
+    SCOPED_TRACE(algorithm);
+    Relation rel(data.schema());
+    auto engine = MakeEngine(&rel, 2.0, true, algorithm);
+    FactService service(&rel);
+    std::vector<ArrivalReport> reports;
+    for (const Row& row : data.rows()) {
+      reports.push_back(engine->Append(row));
+      service.OnArrival(reports.back());
+    }
+    ExpectViewsMatchReports(service, reports);
+  }
+  {
+    SCOPED_TRACE("ShardedEngine K=2");
+    Relation rel(data.schema());
+    ShardedEngine::Config config;
+    config.num_shards = 2;
+    config.tau = 2.0;
+    ShardedEngine engine(&rel, config);
+    FactService service(&rel);
+    std::vector<ArrivalReport> reports =
+        engine.AppendBatch(std::span<const Row>(data.rows()));
+    for (const ArrivalReport& report : reports) service.OnArrival(report);
+    ExpectViewsMatchReports(service, reports);
+  }
+  {
+    SCOPED_TRACE("DurableEngine via FromDurable");
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("sitfact_fact_view_test_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    persist::DurableOptions opts;
+    opts.dir = dir;
+    opts.tau = 2.0;
+    std::vector<ArrivalReport> reports;
+    {
+      auto durable_or = persist::DurableEngine::Open(opts, data.schema());
+      ASSERT_TRUE(durable_or.ok()) << durable_or.status().ToString();
+      auto durable = std::move(durable_or).value();
+      FactService live(&durable->relation());
+      for (const Row& row : data.rows()) {
+        auto report_or = durable->Append(row);
+        ASSERT_TRUE(report_or.ok());
+        reports.push_back(std::move(report_or).value());
+        live.OnArrival(reports.back());
+      }
+      ExpectViewsMatchReports(live, reports);
+    }
+    auto durable_or = persist::DurableEngine::Open(opts, Schema());
+    ASSERT_TRUE(durable_or.ok()) << durable_or.status().ToString();
+    auto service_or = FactService::FromDurable(durable_or.value().get());
+    ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
+    ExpectViewsMatchReports(*service_or.value(), reports);
+    std::filesystem::remove_all(dir);
   }
 }
 

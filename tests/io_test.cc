@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,13 @@ struct EngineSnapshotParam {
   const char* algorithm;
   bool file_store;
 };
+
+// Print the algorithm and store kind, not gtest's default byte dump: the
+// dump holds the name's address, which would make the test's name differ
+// from build to build.
+void PrintTo(const EngineSnapshotParam& p, std::ostream* os) {
+  *os << p.algorithm << (p.file_store ? "/file" : "/memory");
+}
 
 class EngineSnapshotTest
     : public ::testing::TestWithParam<EngineSnapshotParam> {};

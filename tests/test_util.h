@@ -148,7 +148,7 @@ inline void VerifyInvariant1(const Relation& r, MuStore* store, int max_bound,
         std::sort(actual.begin(), actual.end());
         ASSERT_EQ(expected, actual)
             << "Invariant 1 violated at " << c.ToString(r) << " x "
-            << SubspaceToString(r, m);
+            << SubspaceToString(r.schema(), m);
       }
     }
   }
@@ -172,7 +172,7 @@ inline void VerifyInvariant2(const Relation& r, MuStore* store, int max_bound,
         bool expected = std::binary_search(msc.begin(), msc.end(), mask);
         ASSERT_EQ(expected, stored)
             << "Invariant 2 violated for tuple " << t << " at "
-            << c.ToString(r) << " x " << SubspaceToString(r, m)
+            << c.ToString(r) << " x " << SubspaceToString(r.schema(), m)
             << " (expected stored=" << expected << ")";
       }
     }
