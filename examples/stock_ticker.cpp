@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
     discoverer.Discover(t, &facts);
     if (facts.empty()) continue;
 
+    CanonicalizeFacts(&facts);
     auto ranked = prominence.RankAll(facts);
     auto prominent = SelectProminent(ranked, tau);
     if (prominent.empty()) continue;

@@ -101,16 +101,8 @@ DiscoveryEngine::DiscoveryEngine(Relation* relation,
   if (config_.rank_facts) {
     SITFACT_CHECK_MSG(discoverer_->store() != nullptr,
                       "prominence ranking needs a µ-store algorithm");
-  }
-  // The skyband shadow rides along from the first arrival when the store
-  // notifies (in-memory stores); attaching before any restore keeps it
-  // coherent through DeserializeBuckets, which writes through the observed
-  // Context API. File-backed stores never notify — a live engine over one
-  // serves prominence from the store as before.
-  MuStore* store = discoverer_->mutable_store();
-  if (config_.rank_facts && store != nullptr && store->NotifiesObservers()) {
-    skyband_ = std::make_unique<SkybandIndex>();
-    skyband_->Attach(store, discoverer_->storage_policy());
+    evaluator_.emplace(relation_, &counter_, discoverer_->mutable_store(),
+                       discoverer_->storage_policy());
   }
 }
 
@@ -178,12 +170,8 @@ ArrivalReport DiscoveryEngine::DiscoverLast() {
   counter_.OnArrival(*relation_, t);
   discoverer_->Discover(t, &report.facts);
   CanonicalizeFacts(&report.facts);
-  if (config_.rank_facts) {
-    ProminenceEvaluator evaluator(relation_, &counter_,
-                                  discoverer_->mutable_store(),
-                                  discoverer_->storage_policy());
-    evaluator.set_skyband(skyband_.get());
-    report.ranked = evaluator.RankAll(report.facts);
+  if (evaluator_.has_value()) {
+    report.ranked = evaluator_->RankAll(report.facts);
     report.prominent = SelectProminent(report.ranked, config_.tau);
   }
   return report;

@@ -2,6 +2,7 @@
 #define SITFACT_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "core/discoverer.h"
 #include "core/prominence.h"
 #include "relation/relation.h"
+// perfbench/ reads SkybandIndex::stats() through skyband_index().
 #include "skyline/skyband_index.h"
 #include "storage/context_counter.h"
 
@@ -52,6 +54,10 @@ class DiscoveryEngine {
   DiscoveryEngine(Relation* relation, std::unique_ptr<Discoverer> discoverer,
                   const Config& config);
 
+  /// The ranking evaluator points at counter_, so the engine stays put.
+  DiscoveryEngine(const DiscoveryEngine&) = delete;
+  DiscoveryEngine& operator=(const DiscoveryEngine&) = delete;
+
   /// Appends `row` and discovers its facts.
   ArrivalReport Append(const Row& row);
 
@@ -77,11 +83,10 @@ class DiscoveryEngine {
   Relation& relation() { return *relation_; }
   Discoverer& discoverer() { return *discoverer_; }
 
-  /// The µ-side skyband shadow: attached when ranking is on and the
-  /// algorithm keeps a notifying (in-memory) store. Null otherwise
-  /// (baselines, file stores) — every consumer falls back to store reads.
-  /// Prominence denominators are served from it when present.
-  const SkybandIndex* skyband_index() const { return skyband_.get(); }
+  /// Always null: ranking reads the µ store directly (ProminenceEvaluator).
+  /// Kept only because the repo benchmark (perfbench/) still calls it; it
+  /// goes with the next change to that benchmark (ROADMAP item 3).
+  const SkybandIndex* skyband_index() const { return nullptr; }
 
   const ContextCounter& counter() const { return counter_; }
   /// Snapshot restore needs to repopulate the counter in place.
@@ -110,9 +115,8 @@ class DiscoveryEngine {
   std::unique_ptr<Discoverer> discoverer_;
   Config config_;
   ContextCounter counter_;
-  /// Declared after discoverer_: destruction detaches from the store, which
-  /// must still be alive.
-  std::unique_ptr<SkybandIndex> skyband_;
+  /// Present iff config_.rank_facts; reused across arrivals.
+  std::optional<ProminenceEvaluator> evaluator_;
 };
 
 }  // namespace sitfact

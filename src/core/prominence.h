@@ -1,15 +1,17 @@
 #ifndef SITFACT_CORE_PROMINENCE_H_
 #define SITFACT_CORE_PROMINENCE_H_
 
+#include <utility>
 #include <vector>
 
 #include "core/fact.h"
 #include "relation/relation.h"
-#include "skyline/skyband_index.h"
 #include "storage/context_counter.h"
 #include "storage/mu_store.h"
 
 namespace sitfact {
+
+class SkybandIndex;
 
 /// Prominence of a fact (Sec. VII): |σ_C(R)| / |λ_M(σ_C(R))| — how rare it
 /// is to be undominated in this context. Context cardinalities come from the
@@ -19,39 +21,68 @@ namespace sitfact {
 ///   * Invariant 2 stores require unioning the buckets of C's ancestors
 ///     (tuples stored at incomparable maximal constraints can repeat, so the
 ///     union deduplicates) and filtering for satisfaction of C.
+///
+/// One evaluator may rank any number of arrivals; it keeps its scratch
+/// buffers between them.
 class ProminenceEvaluator {
  public:
   ProminenceEvaluator(const Relation* relation, const ContextCounter* counter,
                       MuStore* store, StoragePolicy policy);
 
-  /// Routes SkylineSize through a live skyband index instead of the store:
-  /// the same numbers (the index shadows every bucket mutation) without
-  /// bucket reads — under Invariant 2 the whole ancestor-union walk runs on
-  /// in-memory bands. A null or non-live index leaves the store path in
-  /// place, so callers can pass whatever the engine holds unconditionally.
-  void set_skyband(const SkybandIndex* index) {
-    skyband_ = (index != nullptr && index->live()) ? index : nullptr;
-  }
+  /// No-op. Ranking always reads the µ store; this method survives only
+  /// because the repo benchmark (perfbench/) still calls it, and goes with
+  /// the next change to that benchmark (ROADMAP item 3).
+  void set_skyband(const SkybandIndex* index) { (void)index; }
 
   /// Ranks one fact of the latest arrival (the arrival must already be
-  /// folded into the store and the counter).
+  /// folded into the store and the counter) by walking C's ancestors in the
+  /// store — the per-fact reference RankAll is tested against.
   RankedFact Evaluate(const SkylineFact& fact);
 
-  /// Evaluates and sorts descending by prominence (stable w.r.t. canonical
-  /// fact order on ties).
-  std::vector<RankedFact> RankAll(std::vector<SkylineFact> facts);
+  /// Ranks the canonical facts of one arrival (CanonicalizeFacts order;
+  /// every fact binds the arriving tuple's values) and sorts them
+  /// descending by prominence, stable w.r.t. canonical order on ties.
+  /// Numbers equal Evaluate's, fact for fact. Under Invariant 2 all
+  /// ancestors lie in one lattice below an anchor constraint, so the pass
+  /// resolves each lattice node once and reads each (node, M) bucket once.
+  std::vector<RankedFact> RankAll(const std::vector<SkylineFact>& facts);
 
-  /// |λ_M(σ_C(R))| per the storage policy.
+  /// |λ_M(σ_C(R))| per the storage policy, by the per-fact store walk.
   uint64_t SkylineSize(const SkylineFact& fact);
 
  private:
+  /// One node of the arrival's lattice: a bound mask below the anchor and
+  /// the store's context for anchor.Restrict(mask) (null when absent).
+  struct Node {
+    DimMask mask;
+    MuStore::Context* ctx;
+  };
+
+  /// One fact to count, keyed for grouping by subspace.
+  struct GroupFact {
+    MeasureMask subspace;
+    DimMask mask;
+    uint32_t index;
+  };
+
+  /// Invariant 2: fills in the skyline_size of every fact in one pass over
+  /// the lattice below `anchor`.
+  void CountUnionSizes(const Constraint& anchor,
+                       std::vector<RankedFact>* ranked);
+
   const Relation* relation_;
   const ContextCounter* counter_;
   MuStore* store_;
   StoragePolicy policy_;
-  const SkybandIndex* skyband_ = nullptr;
   std::vector<TupleId> scratch_;
   std::vector<TupleId> union_scratch_;
+  // RankAll scratch, kept across arrivals.
+  std::vector<ValueId> anchor_values_;
+  std::vector<Node> nodes_;
+  /// The facts, sorted by subspace.
+  std::vector<GroupFact> grouped_;
+  /// (tuple, stored node mask) pairs of one subspace's buckets.
+  std::vector<std::pair<TupleId, DimMask>> members_;
 };
 
 /// The paper's "prominent facts pertinent to t": the facts attaining the

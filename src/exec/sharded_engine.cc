@@ -15,11 +15,6 @@ ShardedEngine::ShardedEngine(Relation* relation, const Config& config)
   SITFACT_CHECK_MSG(config.num_shards >= 1, "num_shards must be >= 1");
   discoverer_ = std::make_unique<ShardedDiscoverer>(
       relation, config.options, config.num_shards, config.num_threads);
-  if (config_.rank_facts) {
-    skyband_ = std::make_unique<SkybandIndex>();
-    skyband_->Attach(discoverer_->mutable_store(),
-                     discoverer_->storage_policy());
-  }
 }
 
 ArrivalReport ShardedEngine::Append(const Row& row) {

@@ -9,7 +9,6 @@
 #include "core/engine.h"
 #include "exec/sharded_discoverer.h"
 #include "relation/relation.h"
-#include "skyline/skyband_index.h"
 
 namespace sitfact {
 
@@ -64,14 +63,6 @@ class ShardedEngine {
   const DiscoveryStats& stats() const { return discoverer_->stats(); }
   const Config& config() const { return config_; }
 
-  /// The µ-side skyband shadow over the segmented store (SegmentedMuStore
-  /// forwards observer registration to every segment, so shard threads feed
-  /// it the same per-bucket mutation stream a sequential engine would; the
-  /// index's internal mutex makes that safe). Null when ranking is off.
-  /// Per-shard ranking keeps its O(1) in-segment reads — the index serves
-  /// external consumers.
-  const SkybandIndex* skyband_index() const { return skyband_.get(); }
-
   /// Aggregates over every µ-store segment.
   uint64_t StoredTupleCount() const { return discoverer_->StoredTupleCount(); }
   size_t ApproxMemoryBytes() const {
@@ -96,8 +87,6 @@ class ShardedEngine {
   Relation* relation_;
   Config config_;
   std::unique_ptr<ShardedDiscoverer> discoverer_;
-  /// Declared after discoverer_: destruction detaches from its store.
-  std::unique_ptr<SkybandIndex> skyband_;
 };
 
 }  // namespace sitfact

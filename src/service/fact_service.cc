@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "core/prominence.h"
 #include "relation/schema.h"
-#include "skyline/skyband_index.h"
 
 namespace sitfact {
 
@@ -112,14 +111,8 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
 
   auto service = std::make_unique<FactService>(relation, options);
   ContextCounter counter(disc->max_bound_dims());
-  // The replay rides the same skyband shadow a live engine would keep, so a
-  // rebuilt service exercises the identical prominence path. A store that
-  // does not notify (file-backed) is read directly instead.
-  SkybandIndex skyband;
-  if (disc->mutable_store() != nullptr &&
-      disc->mutable_store()->NotifiesObservers()) {
-    skyband.Attach(disc->mutable_store(), disc->storage_policy());
-  }
+  ProminenceEvaluator evaluator(relation, &counter, disc->mutable_store(),
+                                disc->storage_policy());
   ArrivalReport report;
   for (TupleId t = 0; t < relation->size(); ++t) {
     if (relation->IsDeleted(t)) continue;
@@ -128,9 +121,6 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
     counter.OnArrival(*relation, t);
     disc->Discover(t, &report.facts);
     CanonicalizeFacts(&report.facts);
-    ProminenceEvaluator evaluator(relation, &counter, disc->mutable_store(),
-                                  disc->storage_policy());
-    evaluator.set_skyband(&skyband);
     report.ranked = evaluator.RankAll(report.facts);
     report.prominent = SelectProminent(report.ranked, tau);
     service->OnArrival(report);

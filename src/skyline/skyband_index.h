@@ -34,7 +34,12 @@ namespace sitfact {
 ///    size is the prominence denominator.
 ///  * Invariant 2 (kMaximalSkylineConstraints): λ is the deduplicated union
 ///    of C's ancestor bands filtered by satisfaction of C — the same walk
-///    ProminenceEvaluator does against the store, minus every bucket read.
+///    ProminenceEvaluator::Evaluate does against the store.
+///
+/// No engine attaches one: ranking reads the store in one lattice pass per
+/// arrival (core/prominence.h). The class stays only because the repo
+/// benchmark (perfbench/) still names it, and goes with the next change to
+/// that benchmark (ROADMAP item 3).
 ///
 /// Threading: Attach/Detach and all probes belong to the engine's
 /// writer thread; OnBucketChanged may arrive concurrently from shard pool
@@ -83,14 +88,6 @@ class SkybandIndex : public MuStore::BucketObserver {
   /// the set ProminenceEvaluator computes from the store.
   uint64_t UnionSkylineSize(const Relation& r, const Constraint& c,
                             MeasureMask m) const;
-
-  /// Policy-dispatched |λ|: the evaluator's one entry point.
-  uint64_t SkylineSizeFor(const Relation& r, const Constraint& c,
-                          MeasureMask m) const {
-    return policy_ == StoragePolicy::kAllSkylineConstraints
-               ? SkylineSize(c, m)
-               : UnionSkylineSize(r, c, m);
-  }
 
   Stats stats() const;
   size_t ApproxMemoryBytes() const;

@@ -77,12 +77,19 @@ TEST(KSkybandDiscoverer, OracleAgreementPaperTableI) {
   VerifyStreamAgainstOracle(PaperTableI(), /*k=*/2, /*dhat=*/-1, /*mhat=*/-1);
 }
 
+// gtest names each case by dumping the parameter's bytes, so the padding
+// before `seed` is a zeroed member: left implicit it holds whatever the stack
+// did, and the case names would change from one test discovery to the next.
 struct KParam {
+  KParam(int k_in, int dhat_in, int mhat_in, uint64_t seed_in)
+      : k(k_in), dhat(dhat_in), mhat(mhat_in), seed(seed_in) {}
   int k;
   int dhat;
   int mhat;
+  int32_t padding = 0;
   uint64_t seed;
 };
+static_assert(sizeof(KParam) == 24, "KParam must have no implicit padding");
 
 class KSkybandSweep : public ::testing::TestWithParam<KParam> {};
 

@@ -258,6 +258,7 @@ TEST(PaperExamples, TableIProminenceRankingViaStore) {
 
   ProminenceEvaluator eval(&r, &counter, disc.mutable_store(),
                            StoragePolicy::kAllSkylineConstraints);
+  CanonicalizeFacts(&facts);  // RankAll's precondition
   auto ranked = eval.RankAll(facts);
   ASSERT_EQ(ranked.size(), 195u);  // 196 in the paper; see erratum note above.
 

@@ -63,12 +63,20 @@ TEST(PromotionFinder, StoudamireStyleFact) {
   EXPECT_FALSE(overall_top);  // Strickland's 18 assists beats t7 overall
 }
 
+// gtest names each case by dumping the parameter's bytes, so the padding
+// before `seed` is a zeroed member: left implicit it holds whatever the stack
+// did, and the case names would change from one test discovery to the next.
 struct PromotionParam {
+  PromotionParam(int k_in, int dhat_in, int measure_in, uint64_t seed_in)
+      : k(k_in), dhat(dhat_in), measure(measure_in), seed(seed_in) {}
   int k;
   int dhat;
   int measure;
+  int32_t padding = 0;
   uint64_t seed;
 };
+static_assert(sizeof(PromotionParam) == 24,
+              "PromotionParam must have no implicit padding");
 
 class PromotionSweep : public ::testing::TestWithParam<PromotionParam> {};
 

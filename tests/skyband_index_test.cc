@@ -1,9 +1,9 @@
 // Differential tests for skyline/skyband_index.h. Every maintenance path is
 // diffed against a brute-force ForEachBucket rescan after each mutation
-// (memory, file, and segmented stores), engines' ranked reports are diffed
-// against an index-free ProminenceEvaluator reading the same store, and the
-// sharded engine hammers OnBucketChanged from pool threads (the
-// SkybandIndex TSan target).
+// (memory, file, and segmented stores), and the sharded engine hammers
+// OnBucketChanged from pool threads (the SkybandIndex TSan target). No
+// engine attaches the index any more; ranking is tested against the store
+// in prominence_test.cc.
 
 #include "skyline/skyband_index.h"
 
@@ -18,9 +18,7 @@
 
 #include "common/binary_io.h"
 #include "common/bits.h"
-#include "common/rng.h"
 #include "core/engine.h"
-#include "core/prominence.h"
 #include "exec/sharded_engine.h"
 #include "storage/file_mu_store.h"
 #include "storage/memory_mu_store.h"
@@ -221,91 +219,12 @@ TEST(SkybandIndexRestore, AttachPrimesFromDeserializedDump) {
   fs::remove_all(base);
 }
 
-void ExpectReportsEqual(const ArrivalReport& a, const ArrivalReport& b) {
-  ASSERT_EQ(a.tuple, b.tuple);
-  ASSERT_EQ(a.facts, b.facts);
-  ASSERT_EQ(a.ranked.size(), b.ranked.size());
-  for (size_t i = 0; i < a.ranked.size(); ++i) {
-    ASSERT_EQ(a.ranked[i].fact, b.ranked[i].fact) << "rank " << i;
-    ASSERT_EQ(a.ranked[i].context_size, b.ranked[i].context_size);
-    ASSERT_EQ(a.ranked[i].skyline_size, b.ranked[i].skyline_size);
-    ASSERT_EQ(a.ranked[i].prominence, b.ranked[i].prominence);
-  }
-  ASSERT_EQ(a.prominent.size(), b.prominent.size());
-  for (size_t i = 0; i < a.prominent.size(); ++i) {
-    ASSERT_EQ(a.prominent[i].fact, b.prominent[i].fact);
-  }
-}
-
-/// The index may only change how |λ| is obtained: re-ranks `report`'s
-/// facts with an evaluator that has no index and reads the engine's store
-/// directly (the path file-backed stores take), and requires the same
-/// ranked list and prominent selection. Must run before the next mutation.
-void ExpectIndexFreeRanking(DiscoveryEngine& engine,
-                            const ArrivalReport& report, double tau) {
-  ProminenceEvaluator store_reads(&engine.relation(), &engine.counter(),
-                                  engine.discoverer().mutable_store(),
-                                  engine.discoverer().storage_policy());
-  ArrivalReport expected;
-  expected.tuple = report.tuple;
-  expected.facts = report.facts;
-  expected.ranked = store_reads.RankAll(report.facts);
-  expected.prominent = SelectProminent(expected.ranked, tau);
-  ExpectReportsEqual(report, expected);
-}
-
-/// The engine differential: an index-accelerated engine runs a random
-/// Append/Remove/Update stream, and every report it returns is diffed
-/// against the index-free ranking of the same store state.
-void RunEngineDifferential(const std::string& algo) {
-  Dataset data = RandomDataset(SmallConfig(70, 23));
-  Relation relation(data.schema());
-  auto disc_or = DiscoveryEngine::CreateDiscoverer(algo, &relation, {});
-  ASSERT_TRUE(disc_or.ok());
-  DiscoveryEngine::Config config;
-  config.tau = 2.0;
-  DiscoveryEngine engine(&relation, std::move(disc_or).value(), config);
-  ASSERT_NE(engine.skyband_index(), nullptr);
-  EXPECT_TRUE(engine.skyband_index()->live());
-
-  Rng rng(5);
-  for (const Row& row : data.rows()) {
-    ExpectIndexFreeRanking(engine, engine.Append(row), config.tau);
-    if (::testing::Test::HasFatalFailure()) return;
-    if (relation.size() > 5 && rng.NextBool(0.15)) {
-      const TupleId t = rng.NextBounded(relation.size());
-      if (!relation.IsDeleted(t)) {
-        if (rng.NextBool(0.5)) {
-          ASSERT_TRUE(engine.Remove(t).ok());
-        } else {
-          auto updated = engine.Update(t, data.rows()[0]);
-          ASSERT_TRUE(updated.ok());
-          ExpectIndexFreeRanking(engine, updated.value(), config.tau);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
-      }
-    }
-  }
-  // The index actually served the denominators, and its shadow still
-  // mirrors the store exactly.
-  const SkybandIndex::Stats stats = engine.skyband_index()->stats();
-  EXPECT_GT(stats.size_probes + stats.union_probes, 0u);
-  ExpectMatchesRescan(*engine.skyband_index(),
-                      *engine.discoverer().mutable_store(), relation);
-}
-
-TEST(SkybandIndexEngine, SBottomUpReportsIdenticalOnVsOff) {
-  RunEngineDifferential("SBottomUp");
-}
-
-TEST(SkybandIndexEngine, STopDownReportsIdenticalOnVsOff) {
-  RunEngineDifferential("STopDown");
-}
-
 TEST(SkybandIndexSharded, ConcurrentNotificationsStayCoherent) {
   // The sharded engine's pool threads notify the index concurrently during
   // AppendBatch; after the join the bands must equal a bucket rescan. This
-  // test is the SkybandIndex TSan target in CI.
+  // test is the SkybandIndex TSan target in CI. The engine keeps no shadow
+  // of its own, so the test attaches one to the segmented store (declared
+  // after the engine: it detaches before the store goes away).
   Dataset data = RandomDataset(SmallConfig(120, 31));
   Relation relation(data.schema());
   ShardedEngine::Config config;
@@ -313,19 +232,20 @@ TEST(SkybandIndexSharded, ConcurrentNotificationsStayCoherent) {
   config.num_threads = 3;
   config.tau = 2.0;
   ShardedEngine engine(&relation, config);
-  ASSERT_NE(engine.skyband_index(), nullptr);
-  EXPECT_TRUE(engine.skyband_index()->live());
+  MuStore& store = *engine.discoverer().mutable_store();
+  SkybandIndex index;
+  index.Attach(&store, engine.discoverer().storage_policy());
+  EXPECT_TRUE(index.live());
 
   std::vector<ArrivalReport> reports = engine.AppendBatch(data.rows());
   EXPECT_EQ(reports.size(), data.rows().size());
-  ExpectMatchesRescan(*engine.skyband_index(),
-                      *engine.discoverer().mutable_store(), relation);
+  EXPECT_GT(index.stats().notifications, 0u);
+  ExpectMatchesRescan(index, store, relation);
 
   ASSERT_TRUE(engine.Remove(7).ok());
   auto updated = engine.Update(12, data.rows()[1]);
   ASSERT_TRUE(updated.ok());
-  ExpectMatchesRescan(*engine.skyband_index(),
-                      *engine.discoverer().mutable_store(), relation);
+  ExpectMatchesRescan(index, store, relation);
 }
 
 }  // namespace
