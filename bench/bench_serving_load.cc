@@ -1,6 +1,8 @@
 // Serving-plane load generator: drives the epoll HTTP front end (src/net/)
-// over loopback with a closed-loop and an open-loop client and reports
-// p50/p99/p999 request latency per phase into the bench trajectory.
+// over loopback with a closed-loop and an open-loop client over a mixed
+// request rotation, then a closed loop of measure-subspace-pinned TopK
+// requests, and reports p50/p99/p999 request latency per phase into the
+// bench trajectory.
 //
 // The container CI runs on a single core, so the interesting numbers here
 // are LATENCY distributions and cache behavior, not throughput; every
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +80,36 @@ std::string TargetFor(uint64_t i, uint64_t arrivals) {
   }
 }
 
+/// Closed loop: one client, next request issued the moment the previous
+/// response lands. Latency = pure service time at concurrency 1. Records
+/// `phase` and returns the mean latency in µs.
+double RunClosedLoop(uint16_t port, uint64_t requests,
+                     const std::function<std::string(uint64_t)>& target_for,
+                     const std::string& phase) {
+  net::HttpClient client("127.0.0.1", port);
+  Latencies lat;
+  lat.micros.reserve(requests);
+  WallTimer wall;
+  for (uint64_t i = 0; i < requests; ++i) {
+    const std::string target = target_for(i);
+    const auto start = std::chrono::steady_clock::now();
+    auto r = client.Get(target);
+    const auto end = std::chrono::steady_clock::now();
+    SITFACT_CHECK_MSG(r.ok(), r.status().ToString().c_str());
+    SITFACT_CHECK(r.value().status == 200);
+    lat.micros.push_back(
+        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
+            end - start)
+            .count());
+  }
+  const double wall_ms = wall.ElapsedMillis();
+  double mean_us = 0;
+  for (double us : lat.micros) mean_us += us;
+  mean_us /= static_cast<double>(lat.micros.size());
+  lat.Summarize(phase, requests, wall_ms);
+  return mean_us;
+}
+
 }  // namespace
 
 int Main() {
@@ -132,31 +165,10 @@ int Main() {
     }
   }
 
-  // Closed loop: one client, next request issued the moment the previous
-  // response lands. Latency = pure service time at concurrency 1.
-  double closed_mean_us = 0;
-  {
-    net::HttpClient client("127.0.0.1", server.port());
-    Latencies lat;
-    lat.micros.reserve(closed_requests);
-    WallTimer wall;
-    for (uint64_t i = 0; i < closed_requests; ++i) {
-      const std::string target = TargetFor(i, arrivals);
-      const auto start = std::chrono::steady_clock::now();
-      auto r = client.Get(target);
-      const auto end = std::chrono::steady_clock::now();
-      SITFACT_CHECK_MSG(r.ok(), r.status().ToString().c_str());
-      SITFACT_CHECK(r.value().status == 200);
-      lat.micros.push_back(
-          std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-              end - start)
-              .count());
-    }
-    const double wall_ms = wall.ElapsedMillis();
-    for (double us : lat.micros) closed_mean_us += us;
-    closed_mean_us /= static_cast<double>(lat.micros.size());
-    lat.Summarize("closed_loop", closed_requests, wall_ms);
-  }
+  const double closed_mean_us = RunClosedLoop(
+      server.port(), closed_requests,
+      [arrivals](uint64_t i) { return TargetFor(i, arrivals); },
+      "closed_loop");
 
   // Open loop: arrivals scheduled on a fixed cadence at ~50% of the
   // closed-loop service rate; latency is measured from the SCHEDULED start,
@@ -188,6 +200,34 @@ int Main() {
 
   stop = true;
   serving.join();
+
+  // Shape-pinned closed loop: TopK(10) of one measure's subspace, rotating
+  // over the measures, against a server with its response cache off so
+  // every request runs the index's filtered bucket walk.
+  {
+    net::FactServer::Options uncached = options;
+    uncached.cache_capacity = 0;
+    net::FactServer shaped_server(&service, &relation, uncached);
+    Status shaped_listening = shaped_server.Listen();
+    SITFACT_CHECK_MSG(shaped_listening.ok(),
+                      shaped_listening.ToString().c_str());
+    std::atomic<bool> shaped_stop{false};
+    shaped_server.set_external_stop(&shaped_stop);
+    std::thread shaped_serving([&shaped_server] {
+      (void)shaped_server.Serve();
+    });
+    const Schema& schema = relation.schema();
+    RunClosedLoop(
+        shaped_server.port(), closed_requests,
+        [&schema](uint64_t i) {
+          return "/topk?k=10&measures=" +
+                 schema.measure(static_cast<int>(i % schema.num_measures()))
+                     .name;
+        },
+        "closed_loop_shaped");
+    shaped_stop = true;
+    shaped_serving.join();
+  }
 
   const net::EpollServer::Stats& stats = server.net_stats();
   std::printf("server: %llu requests over %llu connections, %llu shed\n",

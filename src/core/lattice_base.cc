@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/bits.h"
+#include "common/logging.h"
 #include "lattice/constraint_enumerator.h"
 #include "skyline/dominance.h"
 #include "skyline/skyline_compute.h"
@@ -42,7 +43,13 @@ const Constraint& LatticeDiscovererBase::CachedConstraint(DimMask mask) {
 
 MuStore::Context* LatticeDiscovererBase::CachedContext(DimMask mask,
                                                        bool create) {
-  if (context_resolved_[mask] && context_cache_[mask] != nullptr) {
+  // A cached miss stays a miss for the whole arrival unless this arrival
+  // creates the context (which refreshes the entry below): the only other
+  // creations, ReassignDethroned's, bind a dethroned tuple's value on an
+  // attribute where it differs from the arrival's.
+  if (context_resolved_[mask] && (context_cache_[mask] != nullptr || !create)) {
+    SITFACT_DCHECK(context_cache_[mask] != nullptr ||
+                   store_->Find(CachedConstraint(mask)) == nullptr);
     return context_cache_[mask];
   }
   const Constraint& c = CachedConstraint(mask);

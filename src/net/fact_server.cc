@@ -265,6 +265,13 @@ HttpResponse FactServer::StatzResponse() const {
   obj.Set("schema",
           JsonValue::Number(static_cast<uint64_t>(kWireSchemaVersion)));
   obj.Set("epoch", JsonValue::Number(snap.epoch()));
+  JsonValue index = JsonValue::Object();
+  index.Set("facts",
+            JsonValue::Number(static_cast<uint64_t>(snap.fact_count())));
+  index.Set("arrivals", JsonValue::Number(snap.arrivals()));
+  index.Set("bytes", JsonValue::Number(
+                         static_cast<uint64_t>(snap.ApproxMemoryBytes())));
+  obj.Set("index", std::move(index));
 
   const EpollServer::Stats& net = server_.stats();
   JsonValue server = JsonValue::Object();

@@ -69,6 +69,14 @@ class CowVec {
   /// copy; afterwards no chunk reachable from that copy is ever mutated.
   void Seal() { owned_.assign(owned_.size(), false); }
 
+  /// Bytes held by this version's chunks and chunk table (elements' own
+  /// heap storage excluded).
+  size_t ApproxMemoryBytes() const {
+    return chunks_.size() *
+           (sizeof(std::shared_ptr<Chunk>) + sizeof(Chunk) +
+            kChunkSize * sizeof(T));
+  }
+
  private:
   using Chunk = std::vector<T>;
 
@@ -93,11 +101,12 @@ class CowVec {
   size_t size_ = 0;
 };
 
-/// One indexed fact: a (C, M) pair discovered for `tuple` at its arrival,
-/// with the at-arrival prominence numbers. The index serves the stream of
-/// ArrivalReports, so prominence is "as of the arrival that minted the
-/// fact" — exactly what the engine reported, not a value that silently
-/// drifts as later tuples change the denominators.
+/// One indexed fact, materialised on read from its arrival's block: a
+/// (C, M) pair discovered for `tuple` at its arrival, with the at-arrival
+/// prominence numbers. The index serves the stream of ArrivalReports, so
+/// prominence is "as of the arrival that minted the fact" — exactly what
+/// the engine reported, not a value that silently drifts as later tuples
+/// change the denominators.
 ///
 /// Every fact of an arrival binds the arrival tuple's own values, so a
 /// record keeps only C's bound mask: C is the arrival's all-bound
@@ -118,7 +127,55 @@ struct FactRecord {
   /// Cleared when the owning tuple is removed (or updated away).
   bool live = true;
 };
-static_assert(sizeof(FactRecord) == 48, "FactRecord layout grew");
+
+/// What a block stores per fact: C's bound mask, M, and |λ_M(σ_C(R))|.
+/// Everything else a FactRecord carries is per arrival or recomputed.
+struct PackedFact {
+  uint16_t bound_mask = 0;
+  uint16_t subspace = 0;
+  uint32_t skyline_size = 0;
+};
+static_assert(sizeof(PackedFact) == 8, "PackedFact must stay 8 bytes");
+static_assert(kMaxDimensions <= 16 && kMaxMeasures <= 16,
+              "PackedFact stores DimMask and MeasureMask in 16 bits");
+
+/// One arrival's facts, built once on the writer thread and never mutated
+/// afterwards, so every snapshot shares it by pointer.
+struct ArrivalBlock {
+  /// |σ_C(R)| for one bound mask of the arrival (0 when unranked).
+  struct ContextSize {
+    DimMask bound_mask = 0;
+    uint64_t size = 0;
+  };
+
+  TupleId tuple = 0;
+  /// The tuple's values on every dimension; each fact's constraint is its
+  /// restriction to the fact's bound mask.
+  Constraint constraint;
+  /// Copy of the tuple's row, which narrations render from.
+  Row row;
+  /// False when the engine ran with ranking off.
+  bool ranked = false;
+  /// The prominent selection is a prefix of the ranked list (see
+  /// SelectProminent): facts [0, prominent_count) are prominent.
+  uint32_t prominent_count = 0;
+  /// One entry per distinct bound mask among `facts`, sorted by mask.
+  std::vector<ContextSize> context_sizes;
+  /// The distinct subspaces among `facts`, sorted.
+  std::vector<MeasureMask> subspaces;
+  /// Report order: the ranked list (prominence descending) when ranked,
+  /// the canonical fact list otherwise.
+  std::vector<PackedFact> facts;
+
+  uint64_t ContextSizeOf(DimMask bound_mask) const;
+  bool HasBoundMask(DimMask bound_mask) const;
+  bool HasSubspace(MeasureMask subspace) const;
+  /// context / skyline size, the expression RankAll evaluates (so the value
+  /// is bit-identical to the report's); 0 when unranked.
+  double Prominence(uint32_t i) const;
+  /// Heap and object bytes of this block.
+  size_t ApproxMemoryBytes() const;
+};
 
 /// Conjunctive filter over fact records; default-constructed matches every
 /// live record.
@@ -141,10 +198,6 @@ struct FactFilter {
   bool prominent_only = false;
   /// Also match records of removed tuples.
   bool include_dead = false;
-
-  /// `arrival` is the all-bound constraint of the record's arrival
-  /// (FactIndexSnapshot::ArrivalEntry::constraint); only `about` reads it.
-  bool Matches(const FactRecord& r, const Constraint& arrival) const;
 };
 
 /// Resumable position within the TopK order (prominence descending, record
@@ -169,45 +222,43 @@ struct TopKResult {
 
 /// An immutable epoch of the fact index. Readers obtain one via
 /// FactIndex::Acquire() and query it without any coordination with the
-/// writer: every byte reachable from a snapshot is frozen (see CowVec).
+/// writer: every byte reachable from a snapshot is frozen (see CowVec and
+/// ArrivalBlock).
 class FactIndexSnapshot {
  public:
-  /// Per-arrival directory entry: the contiguous record run the arrival
-  /// appended, and what its records share.
+  /// Per-arrival directory entry. The block's facts hold record ids
+  /// [record_begin, record_begin + block->facts.size()).
   struct ArrivalEntry {
-    TupleId tuple = 0;
+    std::shared_ptr<const ArrivalBlock> block;
     uint32_t record_begin = 0;
-    uint32_t record_count = 0;
+    /// Cleared when the tuple is removed or its arrival is replayed.
     bool live = true;
-    /// The tuple's values on every dimension; each record's constraint is
-    /// its restriction to the record's bound mask.
-    Constraint constraint;
-    /// Immutable copy of the tuple's row, which narrations render from.
-    std::shared_ptr<const Row> row;
   };
 
   static constexpr uint32_t kNoArrival =
       std::numeric_limits<uint32_t>::max();
   static constexpr int kProminenceBuckets = 64;
 
-
   /// Mutations applied when this epoch was published.
   uint64_t epoch() const { return epoch_; }
   /// Arrivals folded in (== the next arrival_seq).
   uint64_t arrivals() const { return arrivals_.size(); }
-  size_t fact_count() const { return records_.size(); }
+  size_t fact_count() const { return fact_count_; }
 
-  const FactRecord& record(uint32_t id) const { return records_[id]; }
-  /// The (C, M) pair of record `id`.
-  SkylineFact fact(uint32_t id) const;
-  /// News-style sentence for record `id` (FactNarrator), rendered from the
+  /// Record `id` (< fact_count()), materialised from its block.
+  FactRecord record(uint32_t id) const;
+  /// The (C, M) pair of `rec`.
+  SkylineFact fact(const FactRecord& rec) const;
+  /// News-style sentence for `rec` (FactNarrator), rendered from the
   /// arrival's row copy; never reads the live Relation.
-  std::string narration(uint32_t id) const;
+  std::string narration(const FactRecord& rec) const;
 
   /// Top-k by at-arrival prominence (descending; ties broken by record id
-  /// ascending, i.e. arrival order). Served from the log2-bucketed
-  /// prominence index: buckets are walked best-first and the walk stops as
-  /// soon as a finished bucket has already produced k matches.
+  /// ascending, i.e. arrival order). Served from the log2-bucketed run
+  /// index: buckets are walked best-first, each by a merge of its runs,
+  /// and the walk stops at the k-th match. A page whose filter pins
+  /// `bound_mask` or `subspace` sets `next` exactly when a further match
+  /// exists.
   TopKResult TopK(size_t k, const FactFilter& filter = {},
                   const std::optional<TopKCursor>& cursor =
                       std::nullopt) const;
@@ -228,37 +279,69 @@ class FactIndexSnapshot {
                            const std::optional<TopKCursor>& cursor =
                                std::nullopt) const;
 
-  /// Directory access for consistency checks (tests) and window math.
-  size_t arrival_count() const { return arrivals_.size(); }
-  const ArrivalEntry& arrival(uint64_t seq) const { return arrivals_[seq]; }
   /// Arrival seq of tuple `t`, or kNoArrival.
   uint32_t ArrivalOfTuple(TupleId t) const;
+
+  /// Bytes this epoch holds: blocks, runs, the directory and the id maps.
+  size_t ApproxMemoryBytes() const;
 
  private:
   friend class FactIndex;
 
-  CowVec<FactRecord> records_;
+  /// A contiguous slice [begin, end) of one block's facts that falls in a
+  /// single prominence bucket.
+  struct Run {
+    uint32_t seq = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  /// The next unserved match of one run in a TopK merge.
+  struct Head {
+    double prominence;
+    uint32_t id;
+    uint32_t run;  // index in its bucket
+    uint32_t i;    // fact index in its block
+    /// Heap order: `a` sorts after `b`, so a heap's front is the best head.
+    static bool After(const Head& a, const Head& b);
+  };
+  /// Moves `head` to the first match of `run` at or after fact `from`;
+  /// false when the run has none left.
+  bool Advance(const Run& run, uint32_t from, const FactFilter& filter,
+               Head* head) const;
+  /// Heads for every run of bucket `b` with a match after `cursor`, as a
+  /// heap whose front is the best in TopK order.
+  void OpenBucket(int b, const FactFilter& filter,
+                  const std::optional<TopKCursor>& cursor,
+                  std::vector<Head>* heads) const;
+  /// Record-id-ascending page over one arrival's facts (FactsForTuple and
+  /// FactsInWindow). Returns true when the page is full and `out->next` set.
+  bool ScanArrival(uint64_t seq, const FactFilter& filter, size_t k,
+                   const std::optional<TopKCursor>& cursor,
+                   TopKResult* out) const;
+
   CowVec<ArrivalEntry> arrivals_;
+  size_t fact_count_ = 0;
+  /// Sum of ArrivalBlock::ApproxMemoryBytes over arrivals_.
+  size_t block_bytes_ = 0;
   /// Names for narrations, copied from the relation at the first arrival.
   std::shared_ptr<const Schema> schema_;
   /// Dimension naming the acting entity in narrations; -1 for none.
   int entity_dim_ = -1;
   /// TupleId -> arrival seq (kNoArrival for ids the index never saw).
   CowVec<uint32_t> tuple_to_arrival_;
-  /// Record ids bucketed by floor(log2(prominence)) + 1 (bucket 0 holds
-  /// prominence < 1, i.e. unranked records), in record-id order. Bucket
-  /// ranges are disjoint, so walking buckets high-to-low visits records in
-  /// coarse prominence order.
-  std::array<CowVec<uint32_t>, kProminenceBuckets> by_prominence_;
-  /// Record ids per constraint bound mask / measure subspace, in record-id
-  /// order: a TopK whose filter pins the shape scans only the matching list
-  /// instead of the prominence buckets.
-  std::vector<std::pair<DimMask, CowVec<uint32_t>>> by_bound_;
-  std::vector<std::pair<MeasureMask, CowVec<uint32_t>>> by_subspace_;
+  /// Entry j is the arrival seq holding record id j * kRecordStride, so
+  /// record() searches only the directory entries between two samples.
+  static constexpr uint32_t kRecordStride = 256;
+  CowVec<uint32_t> record_samples_;
+  /// Fact runs bucketed by floor(log2(prominence)) + 1 (bucket 0 holds
+  /// prominence < 1, i.e. unranked facts), in record-id order. A ranked
+  /// block is sorted by descending prominence, so it adds at most one run
+  /// per bucket, and every run lists its facts in TopK order; an unranked
+  /// block is one run in bucket 0. Bucket ranges are disjoint, so walking
+  /// buckets high-to-low visits facts in coarse prominence order.
+  std::array<CowVec<Run>, kProminenceBuckets> by_prominence_;
   uint64_t epoch_ = 0;
-
-  const CowVec<uint32_t>* BoundList(DimMask mask) const;
-  const CowVec<uint32_t>* SubspaceList(MeasureMask mask) const;
 };
 
 /// Secondary index over the stream of discovered facts, maintained
@@ -269,8 +352,12 @@ class FactIndexSnapshot {
 /// ApplyArrival/ApplyRemove/ApplyUpdate/Publish (the same thread that drives
 /// the discovery engine — FactFeed's worker when the feed is used). Any
 /// thread may call Acquire() at any time; the snapshot it returns is frozen
-/// forever, so readers never observe a torn epoch. Writer-side cost per
-/// publish is O(chunks) pointer copies, not O(facts) — see CowVec.
+/// forever, so readers never observe a torn epoch. Each arrival's facts sit
+/// in one immutable ArrivalBlock that every epoch shares by pointer, so a
+/// publish copies only the chunk tables of the directory, the id maps and
+/// the run buckets: O((arrivals + runs) / CowVec::kChunkSize) pointer
+/// copies plus the chunks touched since the last publish, independent of
+/// how many facts an arrival mints.
 class FactIndex {
  public:
   struct Options {
@@ -290,9 +377,9 @@ class FactIndex {
   FactIndex(const FactIndex&) = delete;
   FactIndex& operator=(const FactIndex&) = delete;
 
-  /// Folds one arrival's report into the index. Records are stored in
-  /// report order: the ranked list when present (prominence descending),
-  /// the canonical fact list otherwise.
+  /// Folds one arrival's report into the index as one block. Facts are
+  /// stored in report order: the ranked list when present (prominence
+  /// descending), the canonical fact list otherwise.
   void ApplyArrival(const ArrivalReport& report);
 
   /// Marks tuple `t`'s records dead. Fails when the index never saw `t` or
@@ -316,8 +403,7 @@ class FactIndex {
 
  private:
   void MaybePublish();
-  void AddRecord(const ArrivalReport& report, const SkylineFact& fact,
-                 const RankedFact* ranked, uint64_t arrival_seq);
+  std::shared_ptr<const ArrivalBlock> BuildBlock(const ArrivalReport& report);
 
   const Relation* relation_;
   Options options_;
@@ -325,6 +411,10 @@ class FactIndex {
   /// Writer-private builder state; published copies share its chunks.
   FactIndexSnapshot work_;
   uint64_t last_published_epoch_ = 0;
+  /// BuildBlock's scratch: one flag per bound mask / subspace, all clear
+  /// between arrivals.
+  std::vector<uint8_t> mask_seen_;
+  std::vector<uint8_t> subspace_seen_;
 
   mutable std::mutex publish_mu_;
   std::shared_ptr<const FactIndexSnapshot> published_;

@@ -35,19 +35,19 @@ Status FactService::OnUpdate(TupleId removed_tuple,
 void FactService::Flush() { index_.Publish(); }
 
 FactService::FactView FactService::Snapshot::View(uint32_t id) const {
-  const FactRecord& rec = state_->record(id);
+  const FactRecord rec = state_->record(id);
   FactView view;
   view.id = id;
   view.tuple = rec.tuple;
   view.arrival_seq = rec.arrival_seq;
-  view.fact = state_->fact(id);
+  view.fact = state_->fact(rec);
   view.context_size = rec.context_size;
   view.skyline_size = rec.skyline_size;
   view.prominence = rec.prominence;
   view.prominent = rec.prominent;
   view.ranked = rec.ranked;
   view.live = rec.live;
-  view.narration = state_->narration(id);
+  view.narration = state_->narration(rec);
   return view;
 }
 

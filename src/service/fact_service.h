@@ -98,6 +98,8 @@ class FactService {
     uint64_t epoch() const { return state_->epoch(); }
     uint64_t arrivals() const { return state_->arrivals(); }
     size_t fact_count() const { return state_->fact_count(); }
+    /// Bytes the pinned fact index holds (FactIndexSnapshot).
+    size_t ApproxMemoryBytes() const { return state_->ApproxMemoryBytes(); }
 
     /// Top-k facts by at-arrival prominence (desc, ties by record id asc).
     Page TopK(size_t k, const FactFilter& filter = {},

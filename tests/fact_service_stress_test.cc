@@ -1,19 +1,25 @@
 // Concurrency stress for service/fact_service.h: reader threads hammer
 // TopK / pagination / window queries while FactFeed ingests on its worker
-// thread. Runs under the TSan preset in CI (test names are matched by the
-// `FactService` regex there). Every acquired snapshot is checked for
-// internal consistency — a torn epoch (records without their directory
-// entry, a dangling index id, a page out of order) fails the test — and
-// readers render narrations while ingestion appends to the relation.
+// thread, or while the writer appends, removes and replays arrivals. Runs
+// under the TSan preset in CI (test names are matched by the `FactService`
+// regex there). Every acquired snapshot is checked for internal
+// consistency — a torn epoch (records without their directory entry, a
+// dangling index id, a page out of order, a filtered drain that disagrees
+// with the unfiltered one) fails the test — and readers render narrations
+// while ingestion appends to the relation.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "net/json.h"
 #include "service/fact_feed.h"
 #include "service/fact_service.h"
+#include "service/query_api.h"
 #include "test_util.h"
 
 #include <gtest/gtest.h>
@@ -34,9 +40,53 @@ std::unique_ptr<DiscoveryEngine> MakeEngine(Relation* relation, double tau) {
                                            config);
 }
 
+/// Drains every TopK page of `filter`, resuming from each page's cursor.
+std::vector<uint32_t> DrainTopK(const FactService::Snapshot& snap,
+                                const FactFilter& filter, size_t page) {
+  std::vector<uint32_t> ids;
+  std::optional<TopKCursor> cursor;
+  for (;;) {
+    FactService::Page p = snap.TopK(page, filter, cursor);
+    for (const auto& view : p.facts) ids.push_back(view.id);
+    if (!p.next.has_value()) return ids;
+    cursor = p.next;
+  }
+}
+
+/// Drains every FactsInWindow page over the snapshot's whole arrival range.
+std::vector<uint32_t> DrainWindow(const FactService::Snapshot& snap,
+                                  size_t page) {
+  std::vector<uint32_t> ids;
+  if (snap.arrivals() == 0) return ids;
+  std::optional<TopKCursor> cursor;
+  for (;;) {
+    FactService::Page p = snap.FactsInWindow(0, snap.arrivals() - 1,
+                                             FactFilter(), page, cursor);
+    for (const auto& view : p.facts) ids.push_back(view.id);
+    if (!p.next.has_value()) return ids;
+    cursor = p.next;
+  }
+}
+
+/// The wire bytes of every page of `request`, drained by cursor.
+std::string DrainBytes(const FactService::Snapshot& snap,
+                       QueryRequest request) {
+  std::string bytes;
+  for (;;) {
+    auto response = ExecuteQuery(snap, request);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return bytes;
+    bytes += net::SerializeResponse(response.value());
+    bytes += '\n';
+    if (!response.value().next.has_value()) return bytes;
+    request.cursor = response.value().next;
+  }
+}
+
 /// Full internal consistency check of one snapshot; any torn epoch — a
 /// record without its directory entry, a dangling index id, a page out of
-/// order — trips an assertion.
+/// order, a filtered drain that is not the matching subsequence of the
+/// unfiltered one — trips an assertion.
 void CheckSnapshotConsistency(const FactService::Snapshot& snap) {
   // Every record reachable through the arrival directory stays in bounds.
   std::vector<FactService::FactView> window =
@@ -51,6 +101,8 @@ void CheckSnapshotConsistency(const FactService::Snapshot& snap) {
   // Full pagination is sorted, duplicate-free, and identical to a one-shot
   // TopK of everything.
   std::vector<uint32_t> paged;
+  std::vector<uint32_t> paged_mask_1;      // bound mask {d0}
+  std::vector<uint32_t> paged_subspace_1;  // subspace {m0}
   std::optional<TopKCursor> cursor;
   double last_prom = 0;
   uint32_t last_id = 0;
@@ -71,6 +123,10 @@ void CheckSnapshotConsistency(const FactService::Snapshot& snap) {
       last_prom = view.prominence;
       last_id = view.id;
       paged.push_back(view.id);
+      if (view.fact.constraint.bound_mask() == 0b001) {
+        paged_mask_1.push_back(view.id);
+      }
+      if (view.fact.subspace == 0b01) paged_subspace_1.push_back(view.id);
     }
     if (!page.next.has_value()) break;
     cursor = page.next;
@@ -80,6 +136,18 @@ void CheckSnapshotConsistency(const FactService::Snapshot& snap) {
   for (size_t i = 0; i < paged.size(); ++i) {
     ASSERT_EQ(paged[i], all.facts[i].id);
   }
+
+  // Shape-pinned drains walk the same buckets with run and fact
+  // prefilters; the window drain walks the directory in record-id order.
+  FactFilter by_mask;
+  by_mask.bound_mask = 0b001;
+  ASSERT_EQ(DrainTopK(snap, by_mask, 5), paged_mask_1);
+  FactFilter by_subspace;
+  by_subspace.subspace = 0b01;
+  ASSERT_EQ(DrainTopK(snap, by_subspace, 5), paged_subspace_1);
+  std::vector<uint32_t> by_id = paged;
+  std::sort(by_id.begin(), by_id.end());
+  ASSERT_EQ(DrainWindow(snap, 13), by_id);
 
   // Every live record is reachable through its tuple.
   for (const auto& view : all.facts) {
@@ -177,14 +245,39 @@ TEST(FactServiceStress, PinnedSnapshotSurvivesHeavyChurn) {
   auto engine = MakeEngine(&rel, 2.0);
   FactService service(&rel);
 
-  // Pin an early snapshot, then keep mutating (appends + removals) from the
-  // writer while readers re-validate the pinned epoch concurrently.
-  for (int i = 0; i < 50; ++i) service.OnArrival(engine->Append(data.rows()[i]));
+  // Pin an early snapshot, then keep mutating (appends, removals of pinned
+  // and unpinned tuples, one replayed arrival) from the writer while
+  // readers re-validate the pinned epoch and check fresh ones concurrently.
+  std::vector<ArrivalReport> reports;
+  for (int i = 0; i < 50; ++i) {
+    reports.push_back(engine->Append(data.rows()[i]));
+    service.OnArrival(reports.back());
+  }
   FactService::Snapshot pinned = service.Acquire();
   const size_t pinned_count = pinned.fact_count();
   FactService::Page pinned_top = pinned.TopK(20);
 
+  // Every query surface of the pinned epoch, as wire bytes.
+  std::vector<QueryRequest> requests(5);
+  requests[0].k = 7;
+  requests[1].k = 7;
+  requests[1].filter.bound_mask = 0b001;
+  requests[2].k = 7;
+  requests[2].filter.subspace = 0b01;
+  requests[3].kind = QueryKind::kFactsInWindow;
+  requests[3].window_first = 0;
+  requests[3].window_last = 49;
+  requests[3].k = 25;
+  requests[4].kind = QueryKind::kFactsForTuple;
+  requests[4].tuple = 10;
+  requests[4].k = 3;
+  std::vector<std::string> pinned_bytes;
+  for (const QueryRequest& request : requests) {
+    pinned_bytes.push_back(DrainBytes(pinned, request));
+  }
+
   std::atomic<bool> done{false};
+  std::atomic<uint64_t> fresh_checked{0};
   std::vector<std::thread> readers;
   for (int i = 0; i < 2; ++i) {
     readers.emplace_back([&] {
@@ -198,25 +291,59 @@ TEST(FactServiceStress, PinnedSnapshotSurvivesHeavyChurn) {
           ASSERT_EQ(pinned.Explain(again.facts[j]),
                     pinned_top.facts[j].narration);
         }
+        for (size_t r = 0; r < requests.size(); ++r) {
+          ASSERT_EQ(DrainBytes(pinned, requests[r]), pinned_bytes[r])
+              << "request " << r;
+        }
       }
     });
   }
+  readers.emplace_back([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      CheckSnapshotConsistency(service.Acquire());
+      ++fresh_checked;
+    }
+  });
 
+  const TupleId replayed = 20;
   for (int i = 50; i < 200; ++i) {
-    service.OnArrival(engine->Append(data.rows()[i]));
+    reports.push_back(engine->Append(data.rows()[i]));
+    service.OnArrival(reports.back());
     if (i % 7 == 0) {
       TupleId victim = static_cast<TupleId>(i - 3);
       if (engine->Remove(victim).ok()) {
         ASSERT_TRUE(service.OnRemove(victim).ok());
       }
     }
+    if (i == 100) {
+      // A tuple the pinned epoch serves as live.
+      ASSERT_TRUE(engine->Remove(10).ok());
+      ASSERT_TRUE(service.OnRemove(10).ok());
+    }
+    if (i == 150) service.OnArrival(reports[replayed]);  // re-delivery
+  }
+  while (fresh_checked.load() == 0 && !::testing::Test::HasFailure()) {
+    std::this_thread::yield();
   }
   done.store(true);
   for (auto& t : readers) t.join();
 
   // Fresh snapshot diverged; pinned one did not.
-  EXPECT_GT(service.Acquire().fact_count(), pinned_count);
+  const FactService::Snapshot fresh = service.Acquire();
+  EXPECT_GT(fresh.fact_count(), pinned_count);
   EXPECT_EQ(pinned.fact_count(), pinned_count);
+  CheckSnapshotConsistency(fresh);
+  for (size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_EQ(DrainBytes(pinned, requests[r]), pinned_bytes[r]);
+  }
+  // The removal is visible only from later epochs, and the replay left one
+  // live copy of its facts.
+  EXPECT_FALSE(pinned.FactsForTuple(10, FactFilter(), 1).facts.empty());
+  EXPECT_TRUE(fresh.FactsForTuple(10, FactFilter(), 1).facts.empty());
+  FactFilter mine;
+  mine.tuple = replayed;
+  EXPECT_EQ(fresh.TopK(1000, mine).facts.size(),
+            reports[replayed].ranked.size());
 }
 
 }  // namespace

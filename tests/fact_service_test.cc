@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/narrator.h"
+#include "datagen/nba_generator.h"
 #include "exec/sharded_engine.h"
 #include "persist/durable_engine.h"
 #include "query/fact_index.h"
@@ -328,6 +329,54 @@ TEST(FactIndex, FiltersMatchNaiveModel) {
   about.about = Constraint::ForTuple(rel, 10, 0b001);
   for (const auto& view : snap.TopK(1000, about).facts) {
     EXPECT_TRUE(view.fact.constraint.SubsumedByOrEqual(*about.about));
+  }
+}
+
+TEST(FactIndex, ShapePinnedPagesNameANextCursorOnlyWhileMatchesRemain) {
+  // A bound_mask or subspace page sets `next` exactly when a further match
+  // exists, so a drain never ends on an empty page (the unfiltered walk may
+  // end on one; see TopKResult).
+  Dataset data = TestData(120, 19);
+  Relation rel(data.schema());
+  auto engine = MakeEngine(&rel);
+  FactService service(&rel);
+  Model model;
+  for (const Row& row : data.rows()) {
+    ArrivalReport report = engine->Append(row);
+    service.OnArrival(report);
+    model.OnArrival(report);
+  }
+  FactService::Snapshot snap = service.Acquire();
+
+  std::vector<FactFilter> filters;
+  for (DimMask mask = 0; mask < 8; ++mask) {
+    FactFilter f;
+    f.bound_mask = mask;
+    filters.push_back(f);
+  }
+  for (MeasureMask subspace = 1; subspace < 4; ++subspace) {
+    FactFilter f;
+    f.subspace = subspace;
+    filters.push_back(f);
+  }
+  for (size_t fi = 0; fi < filters.size(); ++fi) {
+    const std::vector<uint32_t> expected = model.TopKIds(filters[fi]);
+    for (size_t k : {1, 4}) {
+      SCOPED_TRACE("filter " + std::to_string(fi) + " k " + std::to_string(k));
+      size_t served = 0;
+      std::optional<TopKCursor> cursor;
+      for (;;) {
+        FactService::Page page = snap.TopK(k, filters[fi], cursor);
+        for (const auto& view : page.facts) {
+          ASSERT_LT(served, expected.size());
+          ASSERT_EQ(view.id, expected[served++]);
+        }
+        ASSERT_EQ(page.next.has_value(), served < expected.size());
+        if (!page.next.has_value()) break;
+        cursor = page.next;
+      }
+      ASSERT_EQ(served, expected.size());
+    }
   }
 }
 
@@ -711,6 +760,48 @@ TEST(FactService, FromDurableServesAfterRecovery) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(FactIndex, NbaShapedIndexCostsAtMostSixteenBytesPerFact) {
+  // The paper's case-study shape (d=5, m=7, d̂=m̂=3): ~10^3 facts per
+  // arrival, all binding the arrival's values. The index stores them as one
+  // block per arrival, 8 bytes per fact plus per-arrival headers, runs and
+  // directory entries, all counted by ApproxMemoryBytes.
+  constexpr int kRows = 240;
+  NbaGenerator::Config cfg;
+  cfg.tuples_per_season = kRows / 8;
+  NbaGenerator gen(cfg);
+  auto data = gen.Generate(kRows).Project(NbaGenerator::DimensionsForD(5),
+                                          NbaGenerator::MeasuresForM(7));
+  ASSERT_TRUE(data.ok());
+  Relation rel(data.value().schema());
+  DiscoveryOptions discovery;
+  discovery.max_bound_dims = 3;
+  discovery.max_measure_dims = 3;
+  auto disc_or = DiscoveryEngine::CreateDiscoverer("STopDown", &rel, discovery);
+  ASSERT_TRUE(disc_or.ok());
+  DiscoveryEngine::Config config;
+  config.options = discovery;
+  config.tau = 2.0;
+  DiscoveryEngine engine(&rel, std::move(disc_or).value(), config);
+  FactService::Options options;
+  options.entity = "player";
+  FactService service(&rel, options);
+
+  size_t reported = 0;
+  for (const Row& row : data.value().rows()) {
+    const ArrivalReport report = engine.Append(row);
+    reported += report.ranked.size();
+    service.OnArrival(report);
+  }
+  const FactService::Snapshot snap = service.Acquire();
+  ASSERT_EQ(snap.fact_count(), reported);
+  ASSERT_GT(snap.fact_count(), 100u * kRows);
+  const double bytes_per_fact =
+      static_cast<double>(snap.ApproxMemoryBytes()) /
+      static_cast<double>(snap.fact_count());
+  EXPECT_LE(bytes_per_fact, 16.0);
+  EXPECT_GE(bytes_per_fact, static_cast<double>(sizeof(PackedFact)));
 }
 
 TEST(FactService, FactFeedMaintainsIndexAndQueryIsLive) {

@@ -573,6 +573,36 @@ TEST(FactServerSocket, CacheStaysCoherentAcrossEpochPublish) {
       2u);
 }
 
+TEST(FactServerSocket, StatzSaysWhatTheIndexHolds) {
+  ServingFixture fx({}, 100, 60);
+  fx.Start();
+  HttpClient client("127.0.0.1", fx.port());
+
+  auto check = [&] {
+    auto statz = client.Get("/statz");
+    ASSERT_TRUE(statz.ok());
+    const std::string& body = statz.value().body;
+    auto parsed = JsonValue::Parse(body);
+    ASSERT_TRUE(parsed.ok()) << body;
+    const JsonValue* index = parsed.value().Find("index");
+    ASSERT_NE(index, nullptr) << body;
+    EXPECT_EQ(index->keys(),
+              (std::vector<std::string>{"facts", "arrivals", "bytes"}));
+
+    const FactService::Snapshot snap = fx.service().Acquire();
+    EXPECT_EQ(StatzCounter(body, {"epoch"}), snap.epoch());
+    EXPECT_EQ(StatzCounter(body, {"index", "facts"}), snap.fact_count());
+    EXPECT_EQ(StatzCounter(body, {"index", "arrivals"}), snap.arrivals());
+    EXPECT_EQ(StatzCounter(body, {"index", "bytes"}),
+              snap.ApproxMemoryBytes());
+    EXPECT_GT(snap.ApproxMemoryBytes(), snap.fact_count() * sizeof(PackedFact));
+  };
+  check();
+  fx.IngestMore(40);  // the index grows; /statz follows the new epoch
+  check();
+  EXPECT_EQ(fx.service().Acquire().arrivals(), 100u);
+}
+
 TEST(FactServerSocket, QuitQuitQuitStopsServeGracefully) {
   ServingFixture fx;
   fx.Start();
