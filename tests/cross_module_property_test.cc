@@ -22,6 +22,7 @@
 namespace sitfact {
 namespace {
 
+using testing_util::KSkyband;
 using testing_util::RandomDataConfig;
 using testing_util::RandomDataset;
 
@@ -52,18 +53,20 @@ class SeededProperty : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(SeededProperty, SkylineIsIdempotent) {
   // λ_M(λ_M(S)) = λ_M(S): re-running the skyline on its own output changes
-  // nothing, for every evaluator.
+  // nothing. The second run sees only the first run's skyline because every
+  // other tuple is deleted in between.
   Dataset data = MakeData();
-  Relation r = Load(data);
-  SkylineQueryEngine engine(&r);
   for (MeasureMask m = 1; m < 8; ++m) {
-    for (QueryAlgorithm algo :
-         {QueryAlgorithm::kBlockNestedLoops, QueryAlgorithm::kSortFilter,
-          QueryAlgorithm::kDivideConquer}) {
-      auto once = engine.EvaluateCandidates(AllIds(r), m, algo);
-      auto twice = engine.EvaluateCandidates(once.skyline, m, algo);
-      ASSERT_EQ(once.skyline, twice.skyline) << "m=" << m;
+    Relation r = Load(data);
+    const Constraint top = Constraint::Top(r.schema().num_dimensions());
+    auto once = EvaluateContextualSkyline(r, top, m);
+    for (TupleId t = 0; t < r.size(); ++t) {
+      if (!std::binary_search(once.skyline.begin(), once.skyline.end(), t)) {
+        r.MarkDeleted(t);
+      }
     }
+    auto twice = EvaluateContextualSkyline(r, top, m);
+    ASSERT_EQ(once.skyline, twice.skyline) << "m=" << m;
   }
 }
 
@@ -72,18 +75,17 @@ TEST_P(SeededProperty, SkybandLadderIsMonotone) {
   // reached once k exceeds the max dominator count.
   Dataset data = MakeData();
   Relation r = Load(data);
-  SkylineQueryEngine engine(&r);
   std::vector<TupleId> ids = AllIds(r);
   std::vector<TupleId> prev;
   for (int k = 1; k <= 8; ++k) {
-    std::vector<TupleId> band = engine.KSkyband(ids, 0b111, k);
+    std::vector<TupleId> band = KSkyband(r, ids, 0b111, k);
     ASSERT_TRUE(std::includes(band.begin(), band.end(), prev.begin(),
                               prev.end()))
         << "k=" << k;
     prev = std::move(band);
   }
   std::vector<TupleId> all =
-      engine.KSkyband(ids, 0b111, static_cast<int>(ids.size()));
+      KSkyband(r, ids, 0b111, static_cast<int>(ids.size()));
   EXPECT_EQ(all, ids);
 }
 
@@ -95,12 +97,11 @@ TEST_P(SeededProperty, SubspaceSkylineNotSmallerOnProjection) {
   // single measure {j} is exactly the arg-max set of that measure.
   Dataset data = MakeData();
   Relation r = Load(data);
-  SkylineQueryEngine engine(&r);
   std::vector<TupleId> ids = AllIds(r);
+  const Constraint top = Constraint::Top(r.schema().num_dimensions());
   for (int j = 0; j < 3; ++j) {
     MeasureMask m = MeasureMask{1} << j;
-    auto result = engine.EvaluateCandidates(ids, m,
-                                            QueryAlgorithm::kSortFilter);
+    auto result = EvaluateContextualSkyline(r, top, m);
     double best = r.measure_key(ids[0], j);
     for (TupleId t : ids) best = std::max(best, r.measure_key(t, j));
     for (TupleId t : ids) {

@@ -1,6 +1,8 @@
 // Tests for the incremental k-skyband discoverer (core/kskyband.h): the
 // agreement-mask zeta transform against quadratic oracles, the k=1 /
-// skyline-fact correspondence, and the d̂ / m̂ truncation.
+// skyline-fact correspondence, and the d̂ / m̂ truncation. The dominator
+// counting oracle itself is pinned to the skyline oracle by
+// KSkyband.K1IsTheSkyline.
 
 #include "core/kskyband.h"
 
@@ -9,7 +11,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "query/skyline_query.h"
 #include "skyline/skyline_compute.h"
 #include "test_util.h"
 
@@ -18,6 +19,8 @@
 namespace sitfact {
 namespace {
 
+using testing_util::CountDominators;
+using testing_util::KSkyband;
 using testing_util::PaperTableI;
 using testing_util::RandomDataConfig;
 using testing_util::RandomDataset;
@@ -34,7 +37,6 @@ void VerifyStreamAgainstOracle(const Dataset& data, int k, int dhat,
   options.max_bound_dims = dhat;
   options.max_measure_dims = mhat;
   KSkybandDiscoverer disc(&r, options);
-  SkylineQueryEngine oracle(&r);
 
   const int resolved_dhat =
       dhat < 0 ? data.schema().num_dimensions() : dhat;
@@ -58,7 +60,7 @@ void VerifyStreamAgainstOracle(const Dataset& data, int k, int dhat,
       Constraint c = Constraint::ForTuple(r, t, mask);
       std::vector<TupleId> context = SelectContext(r, c, r.size());
       for (MeasureMask m : universe.masks()) {
-        uint64_t dominators = oracle.CountDominators(t, context, m);
+        uint64_t dominators = CountDominators(r, t, context, m);
         bool expected = dominators < static_cast<uint64_t>(k);
         bool actual = reported.count({mask, m}) > 0;
         ASSERT_EQ(expected, actual)
@@ -71,6 +73,20 @@ void VerifyStreamAgainstOracle(const Dataset& data, int k, int dhat,
       }
     }
   }
+}
+
+TEST(KSkyband, K1IsTheSkyline) {
+  // Ties the dominator-count oracle above to the skyline oracle: with k=1
+  // the band is exactly the tuples nothing dominates.
+  RandomDataConfig cfg;
+  cfg.num_tuples = 150;
+  cfg.seed = 9;
+  Dataset data = RandomDataset(cfg);
+  Relation r(data.schema());
+  for (const Row& row : data.rows()) r.Append(row);
+  std::vector<TupleId> ids(r.size());
+  for (TupleId t = 0; t < r.size(); ++t) ids[t] = t;
+  EXPECT_EQ(KSkyband(r, ids, 0b11, 1), ComputeSkyline(r, ids, 0b11));
 }
 
 TEST(KSkybandDiscoverer, OracleAgreementPaperTableI) {

@@ -54,9 +54,36 @@ expect discover 0 "processed 200 rows" \
 expect resume 0 "restored" \
   "$CLI" resume --snapshot "$SNAP" --quiet
 
-expect query 0 "skyline" \
+# expect_skyline <name> <banner> <ids> <cmd...>
+# A query step pins its answer: the banner (context, size, skyline count) and
+# the skyline tuple ids in order. Comparison counts are left unpinned.
+expect_skyline() {
+  local name=$1 want_banner=$2 want_ids=$3
+  shift 3
+  local out status ids
+  out=$("$@" 2>&1)
+  status=$?
+  ids=$(printf '%s\n' "$out" | grep -oE '^  #[0-9]+' | tr -d ' ' | paste -sd' ')
+  if [ "$status" -ne 0 ] || ! printf '%s' "$out" | grep -qF "$want_banner" ||
+     [ "$ids" != "$want_ids" ]; then
+    echo "FAIL $name: exit $status, wanted \"$want_banner\" with skyline $want_ids"
+    echo "$out" | sed 's/^/  | /'
+    FAILURES=$((FAILURES + 1))
+    return
+  fi
+  echo "ok   $name"
+}
+
+expect_skyline query "context (no constraint) has 200 tuples, skyline 4 (" \
+  "#23 #41 #122 #133" \
   "$CLI" query --csv "$CSV" --dims player,season,team,opp_team \
   --measures points:+,rebounds:+,assists:+
+
+expect_skyline query-where "context season=1991-92 has 25 tuples, skyline 2 (" \
+  "#17 #23" \
+  "$CLI" query --csv "$CSV" --dims player,season,team,opp_team \
+  --measures points:+,rebounds:+,assists:+ \
+  --where season=1991-92 --subspace points,assists
 
 # Durable checkpoint/restore (docs/persistence.md): ingest the first half
 # of the stream and checkpoint; ingest the next quarter into the WAL only

@@ -1,6 +1,7 @@
 #ifndef SITFACT_TESTS_TEST_UTIL_H_
 #define SITFACT_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "lattice/constraint_enumerator.h"
 #include "relation/dataset.h"
 #include "relation/relation.h"
+#include "skyline/dominance.h"
 #include "skyline/skyline_compute.h"
 #include "storage/mu_store.h"
 
@@ -101,6 +103,32 @@ inline Dataset RandomDataset(const RandomDataConfig& cfg) {
     out.Add(std::move(row));
   }
   return out;
+}
+
+/// Number of `candidates` that dominate `t` in subspace `m` (`t` itself
+/// skipped). Quadratic; the dominator-count oracle of the k-skyband tests.
+inline uint64_t CountDominators(const Relation& r, TupleId t,
+                                const std::vector<TupleId>& candidates,
+                                MeasureMask m) {
+  uint64_t count = 0;
+  for (TupleId other : candidates) {
+    if (other != t && Dominates(r, other, t, m)) ++count;
+  }
+  return count;
+}
+
+/// k-skyband of `candidates`: the ones dominated by fewer than `k` others in
+/// `m` (k=1 is the skyline). Preserves input order.
+inline std::vector<TupleId> KSkyband(const Relation& r,
+                                     const std::vector<TupleId>& candidates,
+                                     MeasureMask m, int k) {
+  std::vector<TupleId> band;
+  for (TupleId t : candidates) {
+    if (CountDominators(r, t, candidates, m) < static_cast<uint64_t>(k)) {
+      band.push_back(t);
+    }
+  }
+  return band;
 }
 
 /// Streams `dataset` through `discoverer`, returning per-arrival canonical

@@ -159,7 +159,6 @@ USAGE
                        [--save-snapshot FILE] [--quiet]
   sitfact_cli query    --csv FILE --dims ... --measures ...
                        [--where d1=v1,d2=v2] [--subspace m1,m2]
-                       [--algo auto|bnl|sfs|dnc]
   sitfact_cli facts    (--csv FILE --dims ... --measures ... | --dir DIR)
                        [--k N] [--page N] [--where d1=v1,...]
                        [--subspace m1,m2] [--min-prominence P]
@@ -489,15 +488,14 @@ int RunQuery(const Args& args) {
     subspace = subspace_or.value();
   }
 
-  SkylineQueryEngine query(&relation);
-  QueryAlgorithm algo = ParseQueryAlgorithm(args.Get("algo", "auto"));
-  SkylineQueryResult result = query.Evaluate(constraint, subspace, algo);
+  SkylineQueryResult result =
+      EvaluateContextualSkyline(relation, constraint, subspace);
 
   std::printf("context %s has %llu tuples, skyline %zu (%llu comparisons)\n",
               constraint.ToPredicateString(relation).c_str(),
-              static_cast<unsigned long long>(result.stats.context_size),
+              static_cast<unsigned long long>(result.context_size),
               result.skyline.size(),
-              static_cast<unsigned long long>(result.stats.comparisons));
+              static_cast<unsigned long long>(result.comparisons));
   for (TupleId t : result.skyline) {
     std::string line = "  #" + std::to_string(t);
     for (int d = 0; d < schema.num_dimensions(); ++d) {
