@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -169,12 +170,23 @@ ArrivalReport DiscoveryEngine::DiscoverLast() {
   report.tuple = t;
   counter_.OnArrival(*relation_, t);
   discoverer_->Discover(t, &report.facts);
-  CanonicalizeFacts(&report.facts);
-  if (evaluator_.has_value()) {
-    report.ranked = evaluator_->RankAll(report.facts);
-    report.prominent = SelectProminent(report.ranked, config_.tau);
-  }
+  // OrderArrivalFacts and RankAll key facts by mask alone.
+  SITFACT_DCHECK(std::all_of(
+      report.facts.begin(), report.facts.end(), [&](const SkylineFact& f) {
+        return f.constraint ==
+               Constraint::ForTuple(*relation_, t, f.constraint.bound_mask());
+      }));
+  OrderAndRankArrival(evaluator_.has_value() ? &*evaluator_ : nullptr,
+                      config_.tau, &report);
   return report;
+}
+
+void OrderAndRankArrival(ProminenceEvaluator* evaluator, double tau,
+                         ArrivalReport* report) {
+  OrderArrivalFacts(&report->facts);
+  if (evaluator == nullptr) return;
+  report->ranked = evaluator->RankAll(report->facts);
+  report->prominent = SelectProminent(report->ranked, tau);
 }
 
 }  // namespace sitfact

@@ -20,13 +20,20 @@ namespace sitfact {
 /// Everything the engine derives from one arrival.
 struct ArrivalReport {
   TupleId tuple = 0;
-  /// S_t, canonicalized.
+  /// S_t, in canonical order (OrderArrivalFacts).
   std::vector<SkylineFact> facts;
   /// Facts with prominence, sorted descending (empty when ranking is off).
   std::vector<RankedFact> ranked;
   /// The paper's prominent facts: top prominence if >= tau (ties included).
   std::vector<RankedFact> prominent;
 };
+
+/// The end of every sequential arrival, shared by DiscoveryEngine::
+/// DiscoverLast and FactService::Rebuild: puts report->facts in canonical
+/// order (OrderArrivalFacts) and, when `evaluator` is non-null, ranks them
+/// (RankAll) and selects the facts prominent at threshold `tau`.
+void OrderAndRankArrival(ProminenceEvaluator* evaluator, double tau,
+                         ArrivalReport* report);
 
 /// Facade tying together the relation, a discovery algorithm, the context
 /// counter and prominence ranking: feed rows, get narratable facts. This is

@@ -1,6 +1,7 @@
 #ifndef SITFACT_CORE_FACT_H_
 #define SITFACT_CORE_FACT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,22 @@ struct RankedFact {
 /// Sorts facts into the canonical order used when comparing algorithm
 /// outputs (constraint mask/values, then subspace).
 void CanonicalizeFacts(std::vector<SkylineFact>* facts);
+
+static_assert(kMaxDimensions <= 16 && kMaxMeasures <= 16,
+              "ArrivalOrderKey packs both masks into 32 bits");
+
+/// Canonical-order key of one fact of an arrival. Every fact of an arrival
+/// binds the arriving tuple's values, so two of them with one bound mask
+/// have equal constraints, and ascending (bound mask, subspace) is exactly
+/// CanonicalizeFacts's order among them.
+inline uint32_t ArrivalOrderKey(const SkylineFact& f) {
+  return f.constraint.bound_mask() << 16 | f.subspace;
+}
+
+/// CanonicalizeFacts for the facts of one arrival: radix-sorts their keys,
+/// then moves each fact into place once. The order every engine gives
+/// ArrivalReport::facts.
+void OrderArrivalFacts(std::vector<SkylineFact>* facts);
 
 /// "(month=Feb) x {points, rebounds}" rendering for logs and examples.
 std::string FactToString(const Relation& r, const SkylineFact& fact);

@@ -1,6 +1,5 @@
 #include "exec/sharded_engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -105,18 +104,10 @@ ArrivalReport ShardedEngine::MergeReport(TupleId t, int slot) {
     report.ranked.insert(report.ranked.end(), out.ranked.begin(),
                          out.ranked.end());
   }
-  CanonicalizeFacts(&report.facts);
+  // The sequential engine's orders, by the same helpers.
+  OrderArrivalFacts(&report.facts);
   if (config_.rank_facts) {
-    // Reproduce ProminenceEvaluator::RankAll's order exactly: canonical fact
-    // order first, then a stable sort descending by prominence.
-    std::sort(report.ranked.begin(), report.ranked.end(),
-              [](const RankedFact& a, const RankedFact& b) {
-                return a.fact < b.fact;
-              });
-    std::stable_sort(report.ranked.begin(), report.ranked.end(),
-                     [](const RankedFact& a, const RankedFact& b) {
-                       return a.prominence > b.prominence;
-                     });
+    ProminenceEvaluator::OrderRanked(&report.ranked);
     report.prominent = SelectProminent(report.ranked, config_.tau);
   }
   return report;

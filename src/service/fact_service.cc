@@ -120,9 +120,7 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
     report.facts.clear();
     counter.OnArrival(*relation, t);
     disc->Discover(t, &report.facts);
-    CanonicalizeFacts(&report.facts);
-    report.ranked = evaluator.RankAll(report.facts);
-    report.prominent = SelectProminent(report.ranked, tau);
+    OrderAndRankArrival(&evaluator, tau, &report);
     service->OnArrival(report);
   }
   service->Flush();

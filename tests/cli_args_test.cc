@@ -1,10 +1,12 @@
-// Unit tests for the CLI argument parser (tools/cli_commands.h). The
-// subcommands themselves are covered by ctest smoke tests; this covers the
-// parsing edge cases those tests cannot reach.
+// Unit tests for the CLI argument parser and flag check
+// (tools/cli_commands.h). The subcommands themselves are covered by ctest
+// smoke tests; this covers the parsing edge cases those tests cannot reach.
 
 #include "cli_commands.h"
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,6 +116,121 @@ TEST(ParseArgs, NegativeAndFloatValuesParse) {
   // "-1" starts with '-' but not "--": it is consumed as the value.
   EXPECT_EQ(args.GetInt("dhat", 0), -1);
   EXPECT_DOUBLE_EQ(args.GetDouble("tau", 0), 2.75);
+}
+
+/// ParseArgs + CheckFlags over `argv`.
+Status Check(std::vector<std::string> argv) {
+  Argv a(std::move(argv));
+  Args args;
+  Status parsed = ParseArgs(a.argc(), a.argv(), &args);
+  if (!parsed.ok()) return parsed;
+  return CheckFlags(args);
+}
+
+TEST(CheckFlags, MisspeltFlagNamesFlagAndCommand) {
+  // Used to print the full-space skyline as if no subspace had been given.
+  Status st = Check({"cli", "query", "--csv", "f.csv", "--dims", "a",
+                     "--measures", "m", "--subspce", "points"});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "unknown flag --subspce for query");
+}
+
+TEST(CheckFlags, DeletedAlgoFlagIsRejected) {
+  Status st = Check({"cli", "query", "--csv", "f.csv", "--algo", "bnl"});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "unknown flag --algo for query");
+}
+
+TEST(CheckFlags, EqualsSyntaxAndBareFlagsAreChecked) {
+  EXPECT_EQ(Check({"cli", "discover", "--qiet"}).message(),
+            "unknown flag --qiet for discover");
+  EXPECT_EQ(Check({"cli", "discover", "--tua=2"}).message(),
+            "unknown flag --tua for discover");
+}
+
+TEST(CheckFlags, FlagOfAnotherCommandIsRejected) {
+  EXPECT_EQ(Check({"cli", "generate", "--csv", "f.csv"}).message(),
+            "unknown flag --csv for generate");
+  EXPECT_EQ(Check({"cli", "wal-dump", "--dir", "d", "--tau", "2"}).message(),
+            "unknown flag --tau for wal-dump");
+  EXPECT_EQ(Check({"cli", "restore", "--dir", "d", "--dims", "a"}).message(),
+            "unknown flag --dims for restore");
+  EXPECT_EQ(Check({"cli", "query", "--csv", "f", "--tau", "2"}).message(),
+            "unknown flag --tau for query");
+}
+
+TEST(CheckFlags, EveryFlagEachCommandReadsPasses) {
+  const std::vector<std::string> csv = {"--csv", "f.csv", "--dims", "a",
+                                        "--measures", "m"};
+  const std::vector<std::string> storage = {"--storage", "paged", "--cache-mb",
+                                            "4", "--spill-dir", "s"};
+  // `head` followed by every part.
+  auto with = [](std::vector<std::string> head,
+                 std::initializer_list<std::vector<std::string>> parts) {
+    for (const auto& part : parts) {
+      head.insert(head.end(), part.begin(), part.end());
+    }
+    return head;
+  };
+  EXPECT_TRUE(Check({"cli", "generate", "--dataset", "nba", "--rows", "9",
+                     "--out", "o.csv", "--seed", "3"})
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "discover"},
+                         {csv, storage,
+                          {"--algorithm", "STopDown", "--dhat", "3", "--mhat",
+                           "3", "--tau", "2", "--top", "3", "--entity", "a",
+                           "--threads", "2", "--shards", "4",
+                           "--save-snapshot", "x.snap", "--quiet"}}))
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "query"},
+                         {csv, {"--where", "a=1", "--subspace", "m"}}))
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "facts"},
+                         {csv, storage,
+                          {"--dir", "d", "--k", "3", "--page", "1", "--where",
+                           "a=1", "--subspace", "m", "--min-prominence", "2",
+                           "--window", "1:9", "--prominent-only", "--entity",
+                           "a", "--tau", "2", "--format", "json",
+                           "--algorithm", "STopDown", "--threads", "2",
+                           "--shards", "4", "--watch", "--poll-ms", "5",
+                           "--replay", "--dhat", "3", "--mhat", "3"}}))
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "serve"},
+                         {csv, storage,
+                          {"--port", "0", "--host", "h", "--port-file", "p",
+                           "--max-connections", "8", "--cache", "16",
+                           "--algorithm", "STopDown", "--tau", "2",
+                           "--entity", "a", "--dhat", "3", "--mhat", "3"}}))
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "resume"},
+                         {storage,
+                          {"--snapshot", "x.snap", "--csv", "f.csv", "--top",
+                           "3", "--quiet", "--algorithm", "STopDown",
+                           "--replay"}}))
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "checkpoint"},
+                         {csv, storage,
+                          {"--dir", "d", "--algorithm", "STopDown",
+                           "--threads", "2", "--shards", "4", "--tau", "2",
+                           "--every", "8", "--sync", "--no-final",
+                           "--full-every", "4", "--no-delta", "--top", "3",
+                           "--quiet", "--entity", "a", "--replay", "--dhat",
+                           "3", "--mhat", "3"}}))
+                  .ok());
+  EXPECT_TRUE(Check(with({"cli", "restore"},
+                         {storage,
+                          {"--dir", "d", "--csv", "f.csv", "--threads", "2",
+                           "--shards", "4", "--every", "8", "--no-final",
+                           "--top", "3", "--quiet", "--replay", "--entity",
+                           "a"}}))
+                  .ok());
+  EXPECT_TRUE(Check({"cli", "wal-dump", "--wal", "w", "--dir", "d", "--limit",
+                     "2"})
+                  .ok());
+}
+
+TEST(CheckFlags, UnknownCommandIsLeftToDispatch) {
+  EXPECT_TRUE(Check({"cli", "frobnicate", "--anything"}).ok());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // datasets that stress value agreement, measure ties, duplicates, mixed
 // preference directions, and the d̂ / m̂ truncations.
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -62,8 +64,11 @@ TEST_P(EquivalenceTest, MatchesOracle) {
     Relation rel(data.schema());
     std::string dir;
     if (name.rfind("FS", 0) == 0) {
+      // The pid keeps this binary's plain and paged ctest legs, which
+      // can run at once, out of each other's bucket files.
       dir = (std::filesystem::temp_directory_path() /
-             ("sitfact_eq_" + name + "_" + param.label))
+             ("sitfact_eq_" + name + "_" + param.label + "_" +
+              std::to_string(::getpid())))
                 .string();
     }
     auto disc_or = DiscoveryEngine::CreateDiscoverer(name, &rel,

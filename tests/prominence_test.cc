@@ -350,6 +350,98 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, EngineRankingTest,
                            return info.param;
                          });
 
+/// A wide lattice (d=8, d̂ and m̂ unbounded: 256 constraints per subspace)
+/// through a live engine, every report diffed against the per-fact
+/// reference, field for field and in order. The stream is built so that:
+///   * t0 = (a, ..., a) sits at two incomparable maximal constraints,
+///     d0=a and d1=a: t1 agrees with it on d2..d7 only and dominates it;
+///   * random rows never dominate t0 (measures below 5);
+///   * the last row, (a, ..., a) with measures (4.5, 20), is a fact at all
+///     256 constraints of {m1} and of {m0, m1}: subspace groups of 256
+///     facts, far past one 64-bit word per stored tuple. In {m0, m1} it
+///     leaves t0 stored, so every fact binding d0 and d1 counts t0 once
+///     though two nodes below it hold t0;
+///   * equal prominences abound, and must keep canonical order.
+class WideLatticeRankingTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WideLatticeRankingTest, LargeSubspaceGroupsMatchPerFactReference) {
+  constexpr int kDims = 8;
+  constexpr MeasureMask kBoth = 0b11;
+  std::vector<DimensionAttribute> dims;
+  for (int d = 0; d < kDims; ++d) dims.push_back({"d" + std::to_string(d)});
+  Relation relation(Schema(dims, {{"m0"}, {"m1"}}));
+  const fs::path dir =
+      fs::temp_directory_path() / ("sitfact_wide_ranking_" + GetParam());
+  fs::remove_all(dir);
+  auto disc_or = DiscoveryEngine::CreateDiscoverer(GetParam(), &relation, {},
+                                                   dir.string());
+  ASSERT_TRUE(disc_or.ok());
+  DiscoveryEngine engine(&relation, std::move(disc_or).value(), {});
+  MuStore* store = engine.discoverer().mutable_store();
+  ProminenceEvaluator reference(&relation, &engine.counter(), store,
+                                engine.discoverer().storage_policy());
+
+  auto append = [&](std::vector<std::string> values, double m0, double m1) {
+    const ArrivalReport report =
+        engine.Append(Row{std::move(values), {m0, m1}});
+    ExpectSameRanking(report.ranked,
+                      ReferenceRanking(reference, report.facts));
+    return report;
+  };
+  const std::vector<std::string> all_a(kDims, "a");
+  std::vector<std::string> t1_values = all_a;
+  t1_values[0] = t1_values[1] = "b";
+  append(all_a, 5, 5);  // t0
+  append(t1_values, 10, 10);  // t1
+  Rng rng(11);
+  for (int i = 0; i < 24 && !HasFatalFailure(); ++i) {
+    std::vector<std::string> values;
+    for (int d = 0; d < kDims; ++d) {
+      values.push_back(rng.NextBool(0.5) ? "a" : "b");
+    }
+    append(values, static_cast<double>(rng.NextBounded(5)),
+           static_cast<double>(rng.NextBounded(5)));
+  }
+  ASSERT_FALSE(HasFatalFailure());
+
+  // t0's two incomparable maximal constraints in {m0, m1}.
+  for (DimMask maximal : {DimMask{0b01}, DimMask{0b10}}) {
+    MuStore::Context* ctx =
+        store->Find(Constraint::ForTuple(relation, 0, maximal));
+    ASSERT_NE(ctx, nullptr);
+    EXPECT_TRUE(ctx->Contains(kBoth, 0)) << "mask " << maximal;
+  }
+  MuStore::Context* joint =
+      store->Find(Constraint::ForTuple(relation, 0, 0b11));
+  EXPECT_TRUE(joint == nullptr || !joint->Contains(kBoth, 0));
+
+  const ArrivalReport last = append(all_a, 4.5, 20);
+  ASSERT_FALSE(HasFatalFailure());
+  size_t both = 0;
+  size_t ties = 0;
+  for (size_t i = 0; i < last.ranked.size(); ++i) {
+    both += last.ranked[i].fact.subspace == kBoth;
+    ties += i > 0 &&
+            last.ranked[i].prominence == last.ranked[i - 1].prominence;
+  }
+  EXPECT_EQ(both, size_t{1} << kDims);
+  EXPECT_GT(ties, 64u);
+  // d0=a ∧ d1=a: the arrival and t0 (counted once), plus whichever random
+  // rows with those values the pair does not dominate.
+  for (const RankedFact& r : last.ranked) {
+    if (r.fact.subspace == kBoth && r.fact.constraint.bound_mask() == 0b11) {
+      EXPECT_GE(r.skyline_size, 2u);
+    }
+  }
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, WideLatticeRankingTest,
+                         ::testing::Values("STopDown", "FSTopDown"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
 TEST(SelectProminentTest, TiesAndThreshold) {
   auto mk = [](double p) {
     RankedFact f;

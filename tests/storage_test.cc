@@ -271,7 +271,7 @@ TEST(FileMuStore, CountsFileIoAndTracksDiskBytes) {
   Dataset data = PaperTableIV();
   Relation r(data.schema());
   for (const Row& row : data.rows()) r.Append(row);
-  std::string dir = (fs::temp_directory_path() / "sitfact_fio_test").string();
+  std::string dir = UniqueTestPath("sitfact_fio_test");
   FileMuStore store(dir);
   MuStore::Context* ctx =
       store.GetOrCreate(Constraint::ForTuple(r, 4, 0b001));
@@ -298,7 +298,7 @@ TEST(FileMuStore, SurvivesCorruptedBucketFileWithErrorStatus) {
   Dataset data = PaperTableIV();
   Relation r(data.schema());
   for (const Row& row : data.rows()) r.Append(row);
-  std::string dir = (fs::temp_directory_path() / "sitfact_corrupt").string();
+  std::string dir = UniqueTestPath("sitfact_corrupt");
   FileMuStore store(dir);
   MuStore::Context* ctx =
       store.GetOrCreate(Constraint::ForTuple(r, 4, 0b001));
@@ -322,7 +322,7 @@ TEST(FileMuStore, SurvivesCorruptedBucketFileWithErrorStatus) {
 }
 
 TEST(FileMuStore, CleanupRemovesDirectory) {
-  std::string dir = (fs::temp_directory_path() / "sitfact_cleanup").string();
+  std::string dir = UniqueTestPath("sitfact_cleanup");
   {
     Dataset data = PaperTableIV();
     Relation r(data.schema());

@@ -9,8 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -143,6 +146,69 @@ Status ParseArgs(int argc, char** argv, Args* out) {
   return Status::Ok();
 }
 
+namespace {
+
+using FlagSet = std::set<std::string>;
+
+FlagSet Flags(std::initializer_list<std::initializer_list<const char*>> parts) {
+  FlagSet out;
+  for (const auto& part : parts) out.insert(part.begin(), part.end());
+  return out;
+}
+
+/// The flags each command reads, itself or through the helpers it calls.
+/// Keep in step with the Run* functions below.
+const std::map<std::string, FlagSet>& CommandFlags() {
+  // Read by LoadCsvFlag, ApplyStorageFlags, DurableOptionsFromFlags,
+  // StreamIntoDurable (with MakeNarrator) and ParseFactsFlags.
+  static const auto csv = {"csv", "dims", "measures"};
+  static const auto storage = {"storage", "cache-mb", "spill-dir"};
+  static const auto durable = {"dir",     "every",  "sync",       "algorithm",
+                               "dhat",    "mhat",   "tau",        "replay",
+                               "threads", "shards", "full-every", "no-delta"};
+  static const auto stream = {"entity", "top", "quiet"};
+  static const auto facts_query = {"k",      "page",     "format",
+                                   "where",  "subspace", "window",
+                                   "min-prominence", "prominent-only"};
+  static const std::map<std::string, FlagSet> flags{
+      {"generate", Flags({{"dataset", "rows", "out", "seed"}})},
+      {"discover",
+       Flags({csv, storage, stream,
+              {"dhat", "mhat", "threads", "shards", "algorithm", "tau",
+               "save-snapshot"}})},
+      {"query", Flags({csv, {"where", "subspace"}})},
+      {"facts",
+       Flags({csv, storage, durable, facts_query,
+              {"entity", "watch", "poll-ms"}})},
+      {"serve",
+       Flags({csv, storage,
+              {"dhat", "mhat", "entity", "algorithm", "tau", "host", "port",
+               "max-connections", "cache", "port-file"}})},
+      {"resume",
+       Flags({storage,
+              {"snapshot", "algorithm", "replay", "csv", "top", "quiet"}})},
+      {"checkpoint", Flags({csv, storage, durable, stream, {"no-final"}})},
+      {"restore", Flags({storage, durable, stream, {"csv", "no-final"}})},
+      {"wal-dump", Flags({{"wal", "dir", "limit"}})},
+  };
+  return flags;
+}
+
+}  // namespace
+
+Status CheckFlags(const Args& args) {
+  const auto& commands = CommandFlags();
+  const auto command = commands.find(args.command);
+  if (command == commands.end()) return Status::Ok();
+  for (const auto& [name, value] : args.flags) {
+    if (!command->second.contains(name)) {
+      return Status::InvalidArgument("unknown flag --" + name + " for " +
+                                     args.command);
+    }
+  }
+  return Status::Ok();
+}
+
 int PrintUsage(const std::string& error) {
   if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
   std::fprintf(stderr, R"(sitfact_cli — incremental situational-fact discovery
@@ -183,6 +249,8 @@ USAGE
   sitfact_cli wal-dump (--wal FILE | --dir DIR) [--limit N]
 
 NOTES
+  Every command rejects a flag it does not read (exit 2), so a misspelt
+  flag fails instead of being ignored.
   Measures take an optional direction suffix: "points:+" (larger is better,
   the default) or "fouls:-" (smaller is better).
   discover prints, per arrival, the most prominent constraint-measure pairs

@@ -31,6 +31,12 @@ struct Args {
 /// render the error (cli_main.cc routes it through PrintUsage).
 Status ParseArgs(int argc, char** argv, Args* out);
 
+/// Checks that every flag in `args` is one its command reads; an unknown
+/// flag is InvalidArgument naming the flag and the command, so a misspelt
+/// flag fails instead of silently changing the answer. Commands the CLI
+/// does not know pass (dispatch reports them).
+Status CheckFlags(const Args& args);
+
 /// `sitfact_cli generate`: writes a synthetic dataset as CSV.
 int RunGenerate(const Args& args);
 

@@ -11,6 +11,8 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) {
     return sitfact::cli::PrintUsage(parsed.message());
   }
+  sitfact::Status known = sitfact::cli::CheckFlags(args);
+  if (!known.ok()) return sitfact::cli::PrintUsage(known.message());
   if (args.command == "generate") return sitfact::cli::RunGenerate(args);
   if (args.command == "discover") return sitfact::cli::RunDiscover(args);
   if (args.command == "query") return sitfact::cli::RunQuery(args);
